@@ -22,7 +22,6 @@ from .gauge import (
     cp_certificate,
     dual_channel_params,
     entropy_reduction_gauge,
-    gauge_average_correlation,
     output_density_params,
     posterior_params,
     sqrt_gaussian_params,
@@ -75,7 +74,6 @@ __all__ = [
     "g_scalar",
     "g_trace",
     "gain",
-    "gauge_average_correlation",
     "gaussian_entropy",
     "output_density_params",
     "posterior_covariance",

@@ -62,11 +62,19 @@ def load_matrix_file(path: str, side: int | None = None) -> tuple[np.ndarray, in
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
     if not isinstance(doc, dict) or "re" not in doc or "s" not in doc:
         raise ValueError(f"{path}: expected an object with keys 're' and 's'")
-    modes = int(doc["s"])
+    try:
+        modes = int(doc["s"])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: mode count must be an integer, got {doc['s']!r}")
     if modes < 1:
         raise ValueError(f"{path}: mode count must be positive, got {modes}")
     re_part = doc["re"]
     im_part = doc.get("im")
+    for label, rows in (("re", re_part), ("im", im_part)):
+        if rows is not None and not (
+            isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+        ):
+            raise ValueError(f"{path}: '{label}' must be a list of rows")
     n = len(re_part)
     for label, rows in (("re", re_part), ("im", im_part)):
         if rows is None:
@@ -78,9 +86,12 @@ def load_matrix_file(path: str, side: int | None = None) -> tuple[np.ndarray, in
                 raise ValueError(
                     f"{path}: '{label}' row {i} has {len(row)} entries, expected {n}"
                 )
-    matrix = np.asarray(re_part, dtype=float).astype(complex)
-    if im_part is not None:
-        matrix = matrix + 1j * np.asarray(im_part, dtype=float)
+    try:
+        matrix = np.asarray(re_part, dtype=float).astype(complex)
+        if im_part is not None:
+            matrix = matrix + 1j * np.asarray(im_part, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: matrix entries must be numbers")
     if side is not None and n != side * modes:
         raise ValueError(
             f"{path}: matrix is {n}x{n} but s={modes} requires {side * modes}x{side * modes}"
@@ -96,15 +107,11 @@ def _matrix_json(matrix: np.ndarray) -> dict:
     return out
 
 
-def _base_from_flag(name: str) -> LogBase:
-    return LogBase.from_name("bits" if name == "bits" else "nats")
-
-
 def cmd_er_gauge(args) -> int:
     lam, _ = load_matrix_file(args.lambda_file, side=1)
     noise, _ = load_matrix_file(args.noise, side=1)
     state, meas = GaugeState(lam), GaugeMeasurement(noise)
-    base = _base_from_flag(args.base)
+    base = LogBase(args.base)
     post = posterior_params(state, meas)
     result = {
         "schema": SCHEMA,
@@ -125,7 +132,7 @@ def cmd_er_general(args) -> int:
             raise ValueError(f"{name} must be a real covariance matrix")
     alpha = RealCovariance(alpha_m.real)
     beta = RealCovariance(beta_m.real)
-    base = _base_from_flag(args.base)
+    base = LogBase(args.base)
     meas = GeneralMeasurement(beta=beta)
     tilde = posterior_covariance(alpha, beta)
     form = symplectic_form(alpha.s)
@@ -144,7 +151,7 @@ def cmd_er_general(args) -> int:
 def cmd_capacity(args) -> int:
     noise, _ = load_matrix_file(args.noise, side=1)
     eps, _ = load_matrix_file(args.epsilon, side=1)
-    base = _base_from_flag(args.base)
+    base = LogBase(args.base)
     constraint = EnergyConstraint(hamiltonian=eps, budget=args.energy)
     settings = OptimizerSettings(seed=args.seed)
     report = cea_multimode(GaugeMeasurement(noise), constraint, base, settings)
@@ -168,15 +175,23 @@ def cmd_capacity(args) -> int:
 def load_sweep_spec(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    noises = [float(v) for v in doc["N"]]
-    espec = doc["E"]
-    count = int(espec["count"])
+    try:
+        noises = [float(v) for v in doc["N"]]
+        espec = doc["E"]
+        count = int(espec["count"])
+        emin, emax = float(espec["min"]), float(espec["max"])
+        scale = espec.get("scale", "log")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: a sweep spec needs a list 'N' and an object 'E' with numeric "
+            f"'min', 'max' and 'count' ({exc!r})"
+        )
     if count < 1:
         raise ValueError(f"{path}: energy grid count must be >= 1, got {count}")
-    emin, emax = float(espec["min"]), float(espec["max"])
     if emin <= 0.0:
         raise ValueError(f"{path}: energy grid min must be > 0, got {emin}")
-    scale = espec.get("scale", "log")
+    if scale not in ("log", "linear"):
+        raise ValueError(f"{path}: grid scale must be 'log' or 'linear', got {scale!r}")
     if count == 1:
         energies = [emin]
     elif scale == "log":

@@ -5,8 +5,11 @@ states per mode: thermal states, displacement operators (via the matrix
 exponential of the truncated generator, evaluated spectrally), the
 measurement's operator density, posterior states, moment extraction,
 phase averaging, and direct numerical evaluation of the entropy-reduction
-integral.  One mode integrates on a Cartesian trapezoid grid; two modes
-integrate by seeded importance-sampling Monte Carlo.
+integral.  One batched kernel integrates any number of modes: it stacks
+the displacement operators of a chunk of outcomes (Kronecker products of
+one-mode factors) and takes the posterior spectra of the whole chunk at
+once.  The quadrature rule is the caller's: a Cartesian trapezoid grid for
+one mode, or seeded importance-sampling Monte Carlo for two.
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -44,15 +47,15 @@ ENTROPY_FLOOR = 1e-14
 # Default bound on the unrepresented tail of a truncated thermal state.
 TAIL_TOL = 1e-6
 
+# Complex entries of the displacement stack integrated per chunk: 256
+# one-mode operators at dim 40.  Bounds the kernel's working memory at any
+# mode count.
+CHUNK_ENTRIES = 256 * 40 * 40
+
 
 def annihilation(dim: int) -> np.ndarray:
     """Single-mode lowering operator on the first ``dim`` number states."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-
-
-def suggested_dimension(mean_correlation: float, noise: float) -> int:
-    """Truncation heuristic: geometric thermal tails shrink fast in ``dim``."""
-    return max(24, math.ceil(12.0 * (max(mean_correlation, noise) + 1.0)))
 
 
 def validity_radius(dim: int, noise: float) -> float:
@@ -133,21 +136,26 @@ def _displacement_basis(dim: int):
 
 
 def _displacement_batch(zs: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of truncated displacement operators for an array of amplitudes.
+    """Stack of truncated displacement operators for an ``(n, s)`` array.
 
-    Splits ``D(x + iy)`` into real and imaginary displacements joined by the
-    composition phase; each factor is the matrix exponential of its
-    truncated generator.
+    Row ``k`` of ``zs`` holds one amplitude per mode; the operator for it is
+    the Kronecker product of the one-mode factors.  Each factor splits
+    ``D(x + iy)`` into real and imaginary displacements joined by the
+    composition phase, each the matrix exponential of its truncated
+    generator.
     """
     theta_re, v_re, theta_im, v_im = _displacement_basis(dim)
-    xs, ys = zs.real, zs.imag
-    dx = np.einsum(
-        "ij,kj,lj->kil", v_re, np.exp(-1j * np.outer(xs, theta_re)), v_re.conj()
-    )
-    dy = np.einsum(
-        "ij,kj,lj->kil", v_im, np.exp(1j * np.outer(ys, theta_im)), v_im.conj()
-    )
-    return np.exp(1j * xs * ys)[:, None, None] * (dx @ dy)
+    n = zs.shape[0]
+    out = np.ones((n, 1, 1), dtype=complex)
+    for amps in zs.T:
+        xs, ys = amps.real, amps.imag
+        dx = (v_re * np.exp(-1j * np.outer(xs, theta_re))[:, None, :]) @ v_re.conj().T
+        dy = (v_im * np.exp(1j * np.outer(ys, theta_im))[:, None, :]) @ v_im.conj().T
+        factor = np.exp(1j * xs * ys)[:, None, None] * (dx @ dy)
+        side = out.shape[1] * dim
+        out = out[:, :, None, :, None] * factor[:, None, :, None, :]
+        out = out.reshape(n, side, side)
+    return out
 
 
 def unitarity_defect(op: np.ndarray) -> float:
@@ -169,7 +177,6 @@ def displacement(z, dim: int) -> np.ndarray:
             truncated generator is exactly anti-Hermitian.
     """
     amps = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = None
     for amp in amps:
         if abs(amp) ** 2 > dim / 4.0:
             warnings.warn(
@@ -177,8 +184,7 @@ def displacement(z, dim: int) -> np.ndarray:
                 f"{dim / 4.0:.1f}; matrix elements near the truncation edge are inaccurate",
                 stacklevel=2,
             )
-        op = _displacement_batch(np.array([amp]), dim)[0]
-        out = op if out is None else np.kron(out, op)
+    out = _displacement_batch(amps[None, :], dim)[0]
     if unitarity_defect(out) > 1e-6:
         raise TruncationTooSmall("displacement failed the unitarity check")
     return out
@@ -217,12 +223,23 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
+def _mode_dimension(rho: np.ndarray, modes: int) -> int:
+    """Per-mode truncation of a ``modes``-mode state."""
+    dim = round(rho.shape[0] ** (1.0 / modes))
+    if dim**modes != rho.shape[0]:
+        raise DimensionMismatch(
+            f"state dimension {rho.shape[0]} is not a {modes}-mode power"
+        )
+    return dim
+
+
 def _sqrt_thermal(noise, dim: int, tail_tol: float) -> np.ndarray:
+    """Diagonal of the square root of a (product) thermal state."""
     means = np.atleast_1d(np.asarray(noise, dtype=float))
     diag = np.sqrt(_thermal_diagonal(means[0], dim, tail_tol))
     for mean in means[1:]:
         diag = np.kron(diag, np.sqrt(_thermal_diagonal(mean, dim, tail_tol)))
-    return np.diag(diag).astype(complex)
+    return diag
 
 
 def posterior_state(
@@ -241,14 +258,9 @@ def posterior_state(
     Raises:
         NegligibleOutcome: when ``p`` falls below ``p_min``.
     """
-    modes = np.atleast_1d(np.asarray(z)).size
-    dim = round(rho.shape[0] ** (1.0 / modes))
-    if dim**modes != rho.shape[0]:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} is not a {modes}-mode power"
-        )
+    dim = _mode_dimension(rho, np.atleast_1d(np.asarray(z)).size)
     d_op = displacement(z, dim)
-    root = _sqrt_thermal(noise, dim, tail_tol)
+    root = np.diag(_sqrt_thermal(noise, dim, tail_tol))
     raw = root @ d_op.conj().T @ rho @ d_op @ root
     p = float(np.trace(raw).real)
     if p < p_min:
@@ -291,7 +303,7 @@ class OutcomeGrid:
     """Quadrature rule for the outcome integral.
 
     ``points`` holds complex outcomes, shape ``(n,)`` for one mode or
-    ``(n, 2)`` for two; ``weights`` are the quadrature weights against the
+    ``(n, s)`` for ``s``; ``weights`` are the quadrature weights against the
     measure ``d^{2s}z / pi^s`` (for Monte Carlo they fold in the reciprocal
     proposal density, so the same weighted sums apply to both schemes).
     """
@@ -309,9 +321,13 @@ class OutcomeGrid:
         if self.points.shape[0] != self.weights.shape[0]:
             raise ValueError("points and weights must have equal length")
 
-    @property
-    def modes(self) -> int:
-        return 1 if self.points.ndim == 1 else self.points.shape[1]
+
+def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of the square grid ``axis x axis`` against ``d^2z / pi``."""
+    w1 = np.full(axis.size, axis[1] - axis[0])
+    w1[0] *= 0.5
+    w1[-1] *= 0.5
+    return np.outer(w1, w1) / math.pi
 
 
 def cartesian_grid(radius: float, step: float) -> OutcomeGrid:
@@ -325,14 +341,9 @@ def cartesian_grid(radius: float, step: float) -> OutcomeGrid:
     half = max(1, math.ceil(radius / step))
     axis = np.linspace(-half * step, half * step, 2 * half + 1)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    points = (xs + 1j * ys).ravel()
-    w1 = np.full(axis.size, axis[1] - axis[0])
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    weights = np.outer(w1, w1).ravel() / math.pi
     return OutcomeGrid(
-        points=points,
-        weights=weights,
+        points=(xs + 1j * ys).ravel(),
+        weights=_trapezoid_weights(axis).ravel(),
         radius=float(half * step),
         scheme="cartesian-trapezoid",
         axis=axis,
@@ -377,24 +388,27 @@ def monte_carlo_grid(
 
 def _er_weighted_sums(
     rho: np.ndarray,
-    noise: float,
+    noise: np.ndarray,
     points: np.ndarray,
     weights: np.ndarray,
     base: LogBase,
     p_min: float,
     tail_tol: float,
-    chunk: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point ``w p`` and ``w p H(posterior)`` for a one-mode state."""
-    dim = rho.shape[0]
+    """Per-point ``w p`` and ``w p H(posterior)`` for an ``s``-mode state.
+
+    ``points`` has shape ``(n, s)`` and ``noise`` one occupation per mode.
+    """
+    n, modes = points.shape
+    dim = _mode_dimension(rho, modes)
     root = _sqrt_thermal(noise, dim, tail_tol)
-    mass = np.zeros(points.size)
-    weighted_entropy = np.zeros(points.size)
-    for start in range(0, points.size, chunk):
-        zs = points[start : start + chunk]
-        ops = _displacement_batch(zs, dim)
-        conjugated = root[None, :, :] @ np.swapaxes(ops.conj(), 1, 2)
-        raw = conjugated @ rho[None, :, :] @ np.swapaxes(conjugated.conj(), 1, 2)
+    chunk = max(1, CHUNK_ENTRIES // rho.size)
+    mass = np.zeros(n)
+    weighted_entropy = np.zeros(n)
+    for start in range(0, n, chunk):
+        ops = _displacement_batch(points[start : start + chunk], dim)
+        conjugated = root[:, None] * np.swapaxes(ops.conj(), 1, 2)
+        raw = conjugated @ rho @ np.swapaxes(conjugated.conj(), 1, 2)
         ps = np.einsum("kii->k", raw).real
         keep = ps >= p_min
         if not np.any(keep):
@@ -423,9 +437,13 @@ def er_numeric(
     """Entropy reduction by direct numerical integration.
 
     Computes ``H(rho) - sum_i w_i p(z_i) H(posterior(z_i))`` over the grid.
-    Outcomes beyond the truncation's validity radius are excluded and their
-    (negligible) probability charged to the mass deficit; outcomes with
-    density below ``p_min`` are skipped the same way.
+    Outcomes with any amplitude beyond the truncation's validity radius
+    (the smallest over the modes) are excluded and their (negligible)
+    probability charged to the mass deficit; outcomes with density below
+    ``p_min`` are skipped the same way.
+
+    Args:
+        noise: one occupation for every mode, or one per mode.
 
     Returns:
         ``(value, error_estimate)``; the estimate is the half-resolution
@@ -433,105 +451,50 @@ def er_numeric(
         for Monte Carlo ones.
 
     Raises:
+        DimensionMismatch: when the state's dimension is not a power of the
+            grid's mode count, or ``noise`` has neither 1 nor ``s`` entries.
         GridMassDeficit: when the integrated outcome probability misses 1
             by more than ``mass_tol``.
     """
     rho = validate_density(rho)
     entropy_in = von_neumann_entropy(rho, base)
+    points = grid.points.reshape(grid.points.shape[0], -1)
+    n, modes = points.shape
+    dim = _mode_dimension(rho, modes)
     noise_arr = np.atleast_1d(np.asarray(noise, dtype=float))
-
-    if grid.modes == 1:
-        r_valid = validity_radius(rho.shape[0], float(noise_arr.max()))
-        idx = np.nonzero(np.abs(grid.points) <= r_valid)[0]
-        mass = np.zeros(grid.points.shape[0])
-        weighted = np.zeros(grid.points.shape[0])
-        mass[idx], weighted[idx] = _er_weighted_sums(
-            rho, float(noise_arr[0]), grid.points[idx], grid.weights[idx], base,
-            p_min, tail_tol,
+    if noise_arr.size == 1:
+        noise_arr = np.repeat(noise_arr, modes)
+    elif noise_arr.size != modes:
+        raise DimensionMismatch(
+            f"{noise_arr.size} noise occupations for a {modes}-mode grid"
         )
-        total_mass = float(np.sum(mass))
-        value = entropy_in - float(np.sum(weighted))
-        if abs(total_mass - 1.0) > mass_tol:
-            raise GridMassDeficit(
-                f"integrated outcome mass {total_mass:.6f} misses 1 by more than {mass_tol}"
-            )
-        error = _refinement_difference(grid, mass, weighted)
-        return value, error
 
-    return _er_numeric_two_mode(
-        rho, noise_arr, grid, base, mass_tol, p_min, tail_tol, entropy_in
+    r_valid = min(validity_radius(dim, nbar) for nbar in noise_arr)
+    idx = np.nonzero(np.abs(points).max(axis=1) <= r_valid)[0]
+    mass = np.zeros(n)
+    weighted = np.zeros(n)
+    mass[idx], weighted[idx] = _er_weighted_sums(
+        rho, noise_arr, points[idx], grid.weights[idx], base, p_min, tail_tol
     )
+    total_mass = float(np.sum(mass))
+    if abs(total_mass - 1.0) > mass_tol:
+        raise GridMassDeficit(
+            f"integrated outcome mass {total_mass:.6f} misses 1 by more than {mass_tol}"
+        )
+    value = entropy_in - float(np.sum(weighted))
+    if grid.axis is not None:
+        return value, _refinement_difference(grid, weighted)
+    return value, float(np.std(weighted * n) / math.sqrt(n))
 
 
-def _refinement_difference(
-    grid: OutcomeGrid, mass: np.ndarray, weighted: np.ndarray
-) -> float:
-    """Difference against the half-resolution subgrid (Cartesian only)."""
-    if grid.axis is None:
-        return float("nan")
+def _refinement_difference(grid: OutcomeGrid, weighted: np.ndarray) -> float:
+    """Difference against the half-resolution subgrid of a Cartesian grid."""
     n = grid.axis.size
     if n < 5:
         return float("nan")
     per_point_ph = np.zeros(n * n)
     nonzero = grid.weights > 0
     per_point_ph[nonzero] = weighted[nonzero] / grid.weights[nonzero]
-    coarse_axis = grid.axis[::2]
-    w1 = np.full(coarse_axis.size, coarse_axis[1] - coarse_axis[0])
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    coarse_w = np.outer(w1, w1) / math.pi
     ph = per_point_ph.reshape(n, n)[::2, ::2]
-    fine_value = float(np.sum(weighted))
-    coarse_value = float(np.sum(coarse_w * ph))
-    return abs(fine_value - coarse_value)
-
-
-def _er_numeric_two_mode(
-    rho: np.ndarray,
-    noise_arr: np.ndarray,
-    grid: OutcomeGrid,
-    base: LogBase,
-    mass_tol: float,
-    p_min: float,
-    tail_tol: float,
-    entropy_in: float,
-) -> tuple[float, float]:
-    if noise_arr.size == 1:
-        noise_arr = np.repeat(noise_arr, 2)
-    dim = round(math.sqrt(rho.shape[0]))
-    if dim * dim != rho.shape[0]:
-        raise DimensionMismatch(f"state dimension {rho.shape[0]} is not a square")
-    root = np.kron(
-        _sqrt_thermal(noise_arr[0], dim, tail_tol),
-        _sqrt_thermal(noise_arr[1], dim, tail_tol),
-    )
-    r_valid = min(
-        validity_radius(dim, noise_arr[0]), validity_radius(dim, noise_arr[1])
-    )
-    contributions = np.zeros(grid.points.shape[0])
-    masses = np.zeros(grid.points.shape[0])
-    ops_a = _displacement_batch(grid.points[:, 0], dim)
-    ops_b = _displacement_batch(grid.points[:, 1], dim)
-    for i in range(grid.points.shape[0]):
-        if np.abs(grid.points[i]).max() > r_valid:
-            continue
-        d_op = np.kron(ops_a[i], ops_b[i])
-        conj = root @ d_op.conj().T
-        raw = conj @ rho @ conj.conj().T
-        p = float(np.trace(raw).real)
-        if p < p_min:
-            continue
-        w = np.linalg.eigvalsh(raw / p)
-        w = w[w > ENTROPY_FLOOR]
-        entropy = float(-(w * np.log(w)).sum() / base.ln_base)
-        masses[i] = grid.weights[i] * p
-        contributions[i] = masses[i] * entropy
-    total_mass = float(masses.sum())
-    if abs(total_mass - 1.0) > mass_tol:
-        raise GridMassDeficit(
-            f"integrated outcome mass {total_mass:.6f} misses 1 by more than {mass_tol}"
-        )
-    value = entropy_in - float(contributions.sum())
-    n = grid.points.shape[0]
-    error = float(np.std(contributions * n) / math.sqrt(n))
-    return value, error
+    coarse_value = float(np.sum(_trapezoid_weights(grid.axis[::2]) * ph))
+    return abs(float(np.sum(weighted)) - coarse_value)

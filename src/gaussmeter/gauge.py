@@ -197,16 +197,3 @@ def cp_certificate(params: DualChannelParams) -> tuple[bool, float]:
         np.linalg.eigvalsh(form + half).min(),
     )
     return bool(margin >= -CP_MARGIN_TOL), float(margin)
-
-
-def gauge_average_correlation(
-    first_moments, correlation, anomalous_moments=None
-) -> GaugeState:
-    """Moment map of phase averaging.
-
-    Averaging a state over the phase group kills first and anomalous
-    moments and preserves the normal second moments, so the averaged state
-    is described by the correlation matrix alone.
-    """
-    del first_moments, anomalous_moments
-    return GaugeState(correlation=np.atleast_2d(np.asarray(correlation, dtype=complex)))

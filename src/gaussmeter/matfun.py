@@ -52,15 +52,6 @@ class LogBase(enum.Enum):
     def ln_base(self) -> float:
         return math.log(self.base)
 
-    @property
-    def log_of_e(self) -> float:
-        """The constant log(e) in this base."""
-        return 1.0 / self.ln_base
-
-    def log(self, x):
-        """Elementwise logarithm in this base."""
-        return np.log(x) / self.ln_base
-
     @classmethod
     def from_name(cls, name: str) -> "LogBase":
         try:

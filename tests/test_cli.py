@@ -62,6 +62,11 @@ class TestErGauge:
         noise = write_matrix(tmp_path / "noise.json", [[1.0]])
         assert main(["er-gauge", "--lambda", str(lam), "--noise", noise]) == 2
         assert "row 0" in capsys.readouterr().err
+        for text in ('{"s": 1, "re": [1.0]}', '{"s": 1, "re": [["a"]]}',
+                     '{"s": [1], "re": [[1.0]]}'):
+            lam.write_text(text)
+            assert main(["er-gauge", "--lambda", str(lam), "--noise", noise]) == 2
+            assert str(lam) in capsys.readouterr().err
 
     def test_unparsable_json_exits_2(self, tmp_path, capsys):
         lam = tmp_path / "bad.json"
@@ -198,6 +203,14 @@ class TestSweep:
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, E={"min": 0.0, "max": 1.0, "count": 3})
         assert main(["sweep", "--spec", spec]) == 2
+        grid = {"min": 1.0, "max": 2.0, "count": 3}
+        path = tmp_path / "bad-spec.json"
+        no_count = {"min": 1.0, "max": 2.0}
+        for doc in ({"N": [1.0]}, {"E": grid}, {"N": [1.0], "E": no_count},
+                    {"N": [1.0], "E": {**grid, "scale": "Log"}}, {"N": 1.0, "E": grid}):
+            path.write_text(json.dumps(doc))
+            assert main(["sweep", "--spec", str(path)]) == 2
+            assert str(path) in capsys.readouterr().err
 
 
 class TestVerify:

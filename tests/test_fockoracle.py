@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussmeter.errors import (
+    DimensionMismatch,
     GridMassDeficit,
     NegligibleOutcome,
     TruncationTooSmall,
@@ -20,7 +21,6 @@ from gaussmeter.fockoracle import (
     normal_moments,
     posterior_state,
     povm_density,
-    suggested_dimension,
     thermal_state,
     trace_distance,
     unitarity_defect,
@@ -206,16 +206,43 @@ class TestErNumeric:
 
     def test_two_mode_monte_carlo(self):
         # occupations sized so the sampled outcomes stay inside the
-        # truncation's validity radius with room to spare
-        lam, noise, dim = 0.2, 0.2, 16
-        rho = thermal_state([lam, lam], dim)
-        sigma = (lam + noise + 1.0) * np.eye(2)
-        grid = monte_carlo_grid(sigma, 80, seed=3)
-        value, estimate = er_numeric(rho, [noise, noise], grid)
-        tilde = noise * lam / (noise + lam + 1.0)
-        expected = 2.0 * (g_scalar(lam) - g_scalar(tilde))
-        assert value == pytest.approx(expected, abs=2e-2)
-        assert estimate < 2e-2
+        # truncation's validity radius with room to spare; the second case
+        # gives each mode its own occupation and noise
+        dim = 16
+        for lam, noise in (((0.2, 0.2), (0.2, 0.2)), ((0.2, 0.3), (0.15, 0.3))):
+            rho = thermal_state(lam, dim)
+            sigma = np.diag(np.add(lam, noise) + 1.0)
+            grid = monte_carlo_grid(sigma, 80, seed=3)
+            value, estimate = er_numeric(rho, noise, grid)
+            expected = sum(
+                g_scalar(l) - g_scalar(n * l / (n + l + 1.0)) for l, n in zip(lam, noise)
+            )
+            assert value == pytest.approx(expected, abs=2e-2)
+            assert estimate < 2e-2
+
+    def test_two_mode_matches_pointwise_posteriors(self, rng):
+        # the batched kernel against posterior_state taken one outcome at a time
+        dim, noise = 10, (0.15, 0.3)
+        draws = [random_low_energy_state(rng, 5, dim) for _ in range(4)]
+        rho = 0.5 * (np.kron(draws[0], draws[1]) + np.kron(draws[2], draws[3]))
+        points = 0.4 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+        weights = rng.uniform(0.5, 1.5, size=6)
+        grid = OutcomeGrid(
+            points=points, weights=weights, radius=None, scheme="monte-carlo"
+        )
+        value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
+        expected = von_neumann_entropy(rho)
+        for z, w in zip(points, weights):
+            post, p = posterior_state(rho, noise, z)
+            expected -= w * p * von_neumann_entropy(post)
+        assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_noise_count_must_match_modes(self):
+        with pytest.raises(DimensionMismatch):
+            er_numeric(thermal_state(0.2, 8), [0.2, 0.3], cartesian_grid(1.0, 0.5))
+        grid = monte_carlo_grid(1.5 * np.eye(2), 4, seed=3)
+        with pytest.raises(DimensionMismatch):
+            er_numeric(thermal_state([0.2, 0.2], 10), [0.2, 0.2, 0.2], grid)
 
     def test_monte_carlo_deterministic(self):
         sigma = 2.0 * np.eye(2)
@@ -307,11 +334,6 @@ def test_validate_density_rejects_bad_trace():
 def test_validity_radius_monotone():
     assert validity_radius(80, 1.0) > validity_radius(40, 1.0)
     assert validity_radius(40, 0.0) > validity_radius(40, 2.0)
-
-
-def test_suggested_dimension_floor():
-    assert suggested_dimension(0.1, 0.1) == 24
-    assert suggested_dimension(2.0, 1.0) == 36
 
 
 def test_outcome_grid_rejects_negative_weights():

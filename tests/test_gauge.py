@@ -11,7 +11,6 @@ from gaussmeter.gauge import (
     cp_certificate,
     dual_channel_params,
     entropy_reduction_gauge,
-    gauge_average_correlation,
     output_density_params,
     posterior_params,
     sqrt_gaussian_params,
@@ -218,22 +217,6 @@ class TestCpCertificate:
             meas = GaugeMeasurement(random_psd(rng, s))
             ok, margin = cp_certificate(dual_channel_params(state, meas))
             assert ok, f"margin {margin}"
-
-
-class TestGaugeAverage:
-    def test_coherent_moments(self):
-        out = gauge_average_correlation(
-            first_moments=np.array([0.8 + 0.6j]), correlation=np.array([[1.0]])
-        )
-        np.testing.assert_allclose(out.correlation, [[1.0]])
-
-    def test_superposition_moments(self):
-        out = gauge_average_correlation(0.0, np.array([[1.0]]), anomalous_moments=0.707)
-        np.testing.assert_allclose(out.correlation, [[1.0]])
-
-    def test_vacuum(self):
-        out = gauge_average_correlation(0.0, np.array([[0.0]]))
-        np.testing.assert_allclose(out.correlation, [[0.0]])
 
 
 def test_state_rejects_indefinite_correlation():
