@@ -48,6 +48,15 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _load_json(path: str):
+    """Parse a JSON file, reporting the position of a syntax error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+
+
 def load_matrix_file(path: str, side: int | None = None) -> tuple[np.ndarray, int]:
     """Parse a matrix JSON file, reporting positions of malformed rows.
 
@@ -55,11 +64,7 @@ def load_matrix_file(path: str, side: int | None = None) -> tuple[np.ndarray, in
     matrix size as a multiple of the mode count (1 for gauge parameters,
     2 for covariance blocks).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "re" not in doc or "s" not in doc:
         raise ValueError(f"{path}: expected an object with keys 're' and 's'")
     try:
@@ -173,8 +178,7 @@ def cmd_capacity(args) -> int:
 
 
 def load_sweep_spec(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     try:
         noises = [float(v) for v in doc["N"]]
         espec = doc["E"]

@@ -5,11 +5,16 @@ states per mode: thermal states, displacement operators (via the matrix
 exponential of the truncated generator, evaluated spectrally), the
 measurement's operator density, posterior states, moment extraction,
 phase averaging, and direct numerical evaluation of the entropy-reduction
-integral.  One batched kernel integrates any number of modes: it stacks
-the displacement operators of a chunk of outcomes (Kronecker products of
-one-mode factors) and takes the posterior spectra of the whole chunk at
-once.  The quadrature rule is the caller's: a Cartesian trapezoid grid for
-one mode, or seeded importance-sampling Monte Carlo for two.
+integral.  One batched kernel integrates any number of modes.  It factors
+the state once per call as ``rho = W W^dag`` on its support (the ``r``
+number states with a nonzero row or column; ``W`` is ``D x r``, ``D`` the
+state dimension), and for each outcome forms
+``B = sqrt(rho_noise) D(z)^dag W``.  ``D(z)^dag`` is applied one mode at a
+time in the eigenbases of its two truncated generators, so no ``D x D``
+operator is built; the posterior's nonzero spectrum is that of the
+``r x r`` Gram matrix ``B^dag B`` over its trace.  The quadrature rule
+is the caller's: a Cartesian trapezoid grid for one mode, or seeded
+importance-sampling Monte Carlo for two.
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -47,9 +52,9 @@ ENTROPY_FLOOR = 1e-14
 # Default bound on the unrepresented tail of a truncated thermal state.
 TAIL_TOL = 1e-6
 
-# Complex entries of the displacement stack integrated per chunk: 256
-# one-mode operators at dim 40.  Bounds the kernel's working memory at any
-# mode count.
+# Complex entries of the stack of ``B`` factors integrated per chunk: 256
+# full-width one-mode factors at dim 40.  Bounds the kernel's working memory
+# at any mode count and support size.
 CHUNK_ENTRIES = 256 * 40 * 40
 
 
@@ -135,29 +140,6 @@ def _displacement_basis(dim: int):
     return theta_re, v_re, theta_im, v_im
 
 
-def _displacement_batch(zs: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of truncated displacement operators for an ``(n, s)`` array.
-
-    Row ``k`` of ``zs`` holds one amplitude per mode; the operator for it is
-    the Kronecker product of the one-mode factors.  Each factor splits
-    ``D(x + iy)`` into real and imaginary displacements joined by the
-    composition phase, each the matrix exponential of its truncated
-    generator.
-    """
-    theta_re, v_re, theta_im, v_im = _displacement_basis(dim)
-    n = zs.shape[0]
-    out = np.ones((n, 1, 1), dtype=complex)
-    for amps in zs.T:
-        xs, ys = amps.real, amps.imag
-        dx = (v_re * np.exp(-1j * np.outer(xs, theta_re))[:, None, :]) @ v_re.conj().T
-        dy = (v_im * np.exp(1j * np.outer(ys, theta_im))[:, None, :]) @ v_im.conj().T
-        factor = np.exp(1j * xs * ys)[:, None, None] * (dx @ dy)
-        side = out.shape[1] * dim
-        out = out[:, :, None, :, None] * factor[:, None, :, None, :]
-        out = out.reshape(n, side, side)
-    return out
-
-
 def unitarity_defect(op: np.ndarray) -> float:
     """Max-norm deviation of ``op^dag op`` from the identity."""
     dim = op.shape[0]
@@ -184,7 +166,13 @@ def displacement(z, dim: int) -> np.ndarray:
                 f"{dim / 4.0:.1f}; matrix elements near the truncation edge are inaccurate",
                 stacklevel=2,
             )
-    out = _displacement_batch(amps[None, :], dim)[0]
+    theta_re, v_re, theta_im, v_im = _displacement_basis(dim)
+    out = np.ones((1, 1), dtype=complex)
+    for amp in amps:
+        x, y = amp.real, amp.imag
+        dx = (v_re * np.exp(-1j * (x * theta_re))) @ v_re.conj().T
+        dy = (v_im * np.exp(1j * (y * theta_im))) @ v_im.conj().T
+        out = np.kron(out, np.exp(1j * x * y) * (dx @ dy))
     if unitarity_defect(out) > 1e-6:
         raise TruncationTooSmall("displacement failed the unitarity check")
     return out
@@ -225,6 +213,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def _mode_dimension(rho: np.ndarray, modes: int) -> int:
     """Per-mode truncation of a ``modes``-mode state."""
+    if modes < 1:
+        raise DimensionMismatch(f"mode count must be positive, got {modes}")
     dim = round(rho.shape[0] ** (1.0 / modes))
     if dim**modes != rho.shape[0]:
         raise DimensionMismatch(
@@ -287,11 +277,15 @@ def gauge_average(rho: np.ndarray, modes: int = 1) -> np.ndarray:
     several modes it keeps matrix elements between states of equal total
     occupation.  Normal second moments are preserved, first and anomalous
     moments are annihilated.
+
+    Raises:
+        DimensionMismatch: when ``modes`` is not positive or the state's
+            dimension is not a ``modes`` power.
     """
     rho = np.asarray(rho, dtype=complex)
+    dim = _mode_dimension(rho, modes)
     if modes == 1:
         return np.diag(np.diag(rho))
-    dim = round(rho.shape[0] ** (1.0 / modes))
     grids = np.meshgrid(*([np.arange(dim)] * modes), indexing="ij")
     totals = sum(grids).ravel()
     mask = totals[:, None] == totals[None, :]
@@ -398,22 +392,55 @@ def _er_weighted_sums(
     """Per-point ``w p`` and ``w p H(posterior)`` for an ``s``-mode state.
 
     ``points`` has shape ``(n, s)`` and ``noise`` one occupation per mode.
+    With ``rho = W W^dag`` the unnormalized posterior is ``B B^dag`` for
+    ``B = sqrt(rho_noise) D(z)^dag W``, whose nonzero spectrum is that of the
+    ``r x r`` Gram matrix ``B^dag B``.  ``W`` has one column per number state
+    of the support of ``rho``, so the cost follows the support and not the
+    spectrum: a rank-12 state padded with zeros to ``dim = 40`` gives
+    ``r = 12``, a thermal state ``r = D``.  ``D(z)^dag`` is applied one mode
+    at a time in the eigenbases of its generators; its composition phase has
+    modulus 1 and drops out of ``B^dag B``.
     """
     n, modes = points.shape
     dim = _mode_dimension(rho, modes)
-    root = _sqrt_thermal(noise, dim, tail_tol)
-    chunk = max(1, CHUNK_ENTRIES // rho.size)
+    theta_re, v_re, theta_im, v_im = _displacement_basis(dim)
+    # rho vanishes outside its support, so W lives there.  Every eigenpair of
+    # the support block is kept (roundoff-negative ones as zero columns): a
+    # floor on the spectrum would tie the cost to where it cuts a state's tail.
+    nonzero = rho != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    w, u = np.linalg.eigh(rho[np.ix_(support, support)])
+    rank = support.size
+    factor = np.zeros((rho.shape[0], rank), dtype=complex)
+    factor[support] = u * np.sqrt(np.clip(w, 0.0, None))
+    # V_re^dag on every mode's axis, once for all points
+    for k in range(modes):
+        factor = (v_re.conj().T @ factor.reshape(dim**k, dim, -1)).reshape(-1, rank)
+    rotate = v_im.conj().T @ v_re
+    roots = [np.sqrt(_thermal_diagonal(nbar, dim, tail_tol))[:, None] * v_im
+             for nbar in noise]
+    chunk = max(1, CHUNK_ENTRIES // factor.size)
     mass = np.zeros(n)
     weighted_entropy = np.zeros(n)
     for start in range(0, n, chunk):
-        ops = _displacement_batch(points[start : start + chunk], dim)
-        conjugated = root[:, None] * np.swapaxes(ops.conj(), 1, 2)
-        raw = conjugated @ rho @ np.swapaxes(conjugated.conj(), 1, 2)
-        ps = np.einsum("kii->k", raw).real
+        zs = points[start : start + chunk]
+        m = zs.shape[0]
+        # axes (mode axes..., point, rank): each mode's axis leads while its
+        # factor is applied, then moves behind the other mode axes
+        b = np.broadcast_to(factor[:, None, :], (factor.shape[0], m, rank))
+        for root, amps in zip(roots, zs.T):
+            phase_x = np.exp(1j * np.outer(theta_re, amps.real))[:, None, :, None]
+            phase_y = np.exp(-1j * np.outer(theta_im, amps.imag))[:, None, :, None]
+            b = b.reshape(dim, -1, m, rank) * phase_x
+            b = (rotate @ b.reshape(dim, -1)).reshape(b.shape) * phase_y
+            b = np.moveaxis((root @ b.reshape(dim, -1)).reshape(b.shape), 0, 1)
+        b = b.reshape(-1, m, rank).transpose(1, 0, 2)
+        gram = np.swapaxes(b.conj(), 1, 2) @ b
+        ps = np.einsum("kii->k", gram).real
         keep = ps >= p_min
         if not np.any(keep):
             continue
-        spectra = np.linalg.eigvalsh(raw[keep]) / ps[keep, None]
+        spectra = np.linalg.eigvalsh(gram[keep]) / ps[keep, None]
         spectra = np.clip(spectra, 0.0, None)
         logs = np.where(
             spectra > ENTROPY_FLOOR, np.log(np.maximum(spectra, ENTROPY_FLOOR)), 0.0

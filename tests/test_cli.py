@@ -211,6 +211,9 @@ class TestSweep:
             path.write_text(json.dumps(doc))
             assert main(["sweep", "--spec", str(path)]) == 2
             assert str(path) in capsys.readouterr().err
+        path.write_text("{not json")
+        assert main(["sweep", "--spec", str(path)]) == 2
+        assert f"{path}: invalid JSON at line 1, column 2" in capsys.readouterr().err
 
 
 class TestVerify:

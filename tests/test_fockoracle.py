@@ -237,6 +237,22 @@ class TestErNumeric:
             expected -= w * p * von_neumann_entropy(post)
         assert value == pytest.approx(expected, abs=1e-12)
 
+    def test_one_mode_matches_pointwise_posteriors(self, rng):
+        # the Gram kernel against posterior_state taken one outcome at a time:
+        # rank 1 on full support (roundoff-negative eigenvalues as zero
+        # columns), rank 12 (non-diagonal) on a 12-level support, full rank
+        dim, noise = 40, 1.0
+        grid = cartesian_grid(2.0, 0.5)
+        for rho in (coherent_state(0.7 + 0.3j, dim),
+                    random_low_energy_state(rng, 12, dim),
+                    thermal_state(1.0, dim)):
+            value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
+            expected = von_neumann_entropy(rho)
+            for z, w in zip(grid.points, grid.weights):
+                post, p = posterior_state(rho, noise, z)
+                expected -= w * p * von_neumann_entropy(post)
+            assert value == pytest.approx(expected, abs=1e-12)
+
     def test_noise_count_must_match_modes(self):
         with pytest.raises(DimensionMismatch):
             er_numeric(thermal_state(0.2, 8), [0.2, 0.3], cartesian_grid(1.0, 0.5))
@@ -300,6 +316,12 @@ class TestGaugeAverage:
         # |01><10| connects equal totals and must survive; |00><01| must not
         assert averaged[1, dim] != 0.0
         assert averaged[0, 1] == 0.0
+
+    def test_rejects_bad_mode_count(self):
+        with pytest.raises(DimensionMismatch):
+            gauge_average(np.eye(10) / 10, modes=2)
+        with pytest.raises(DimensionMismatch):
+            gauge_average(np.eye(9) / 9, modes=0)
 
     def test_averaging_never_reduces_entropy_gain(self, rng):
         dim, noise = 40, 1.0
