@@ -5,7 +5,6 @@ truncated-Fock-space verification engine."""
 from .capacity import (
     CapacityReport,
     EnergyConstraint,
-    OptimizerSettings,
     SweepPoint,
     c_unassisted_one_mode,
     cea_multimode,
@@ -57,7 +56,6 @@ __all__ = [
     "GaugeState",
     "GeneralMeasurement",
     "LogBase",
-    "OptimizerSettings",
     "RealCovariance",
     "SweepPoint",
     "SymplecticForm",

@@ -21,8 +21,16 @@ from .errors import (
     InvalidRange,
     NotPositiveDefinite,
 )
-from .gauge import GaugeMeasurement, GaugeState
+from .gauge import GaugeMeasurement, GaugeState, _entropy_reduction_gradient
 from .matfun import LogBase, as_hermitian, g_scalar, hermitian_function
+
+# The multimode ascent stops at a Frank-Wolfe gap (in the report's base) of
+# GAP_TOL.  Its line search takes a rise below VALUE_RTOL of the value from
+# the slopes: values that close carry too much roundoff to rank such steps.
+GAP_TOL = 1e-10
+VALUE_RTOL = 1e-12
+MAX_ITER = 10_000
+INIT_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -51,23 +59,13 @@ class EnergyConstraint:
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    """Knobs of the projected gradient ascent used by :func:`cea_multimode`."""
-
-    seed: int = 0
-    starts: int = 8
-    max_iter: int = 10_000
-    grad_tol: float = 1e-8
-    fd_step: float = 1e-6
-    init_step: float = 0.25
-
-
-@dataclass(frozen=True)
 class CapacityReport:
     """Result of a capacity computation.
 
     ``unassisted`` and ``gain`` are populated for one mode only, where the
-    printed closed form is available.
+    printed closed form is available.  ``gap`` is the Frank-Wolfe duality
+    gap at ``best_state``, an upper bound on the capacity minus ``assisted``;
+    ``converged`` holds exactly when it is at most :data:`GAP_TOL`.
     """
 
     assisted: float
@@ -79,6 +77,7 @@ class CapacityReport:
     converged: bool = True
     iterations: int = 0
     grad_norm: float = 0.0
+    gap: float = 0.0
 
 
 def _check_scalar_args(energy: float, noise: float):
@@ -161,108 +160,93 @@ class _ShellObjective:
 
     Parameterizes ``Lambda = C C^dag`` (automatically PSD) and keeps
     iterates on the energy shell ``Sp(eps Lambda) = E`` by rescaling.
-    The noise-dependent spectral factors are precomputed once.
     """
 
     def __init__(self, meas: GaugeMeasurement, constraint: EnergyConstraint,
                  base: LogBase):
-        self.s = meas.s
+        self.meas = meas
         self.eps = constraint.hamiltonian
         self.budget = constraint.budget
         self.base = base
-        self.noise = meas.noise
-        self.grow = hermitian_function(self.noise, lambda w: np.sqrt(w * (w + 1.0)))
-        self.shrink = hermitian_function(self.noise, lambda w: np.sqrt(w / (w + 1.0)))
-        self.eye = np.eye(self.s)
-
-    def normalize(self, factor: np.ndarray) -> np.ndarray:
-        used = float(np.trace(self.eps @ factor @ factor.conj().T).real)
-        if used <= 0.0:
-            raise InfeasibleConstraint("degenerate iterate with zero energy")
-        return factor * math.sqrt(self.budget / used)
+        self.eps_inv_root = hermitian_function(self.eps, lambda w: 1.0 / np.sqrt(w))
 
     def energy(self, factor: np.ndarray) -> float:
         return float(np.trace(self.eps @ factor @ factor.conj().T).real)
 
-    def value(self, factor: np.ndarray) -> float:
-        lam = factor @ factor.conj().T
-        m_inv = np.linalg.inv(lam + self.noise + self.eye)
-        tilde = self.shrink @ lam @ m_inv @ self.grow
-        tilde = (tilde + tilde.conj().T) / 2.0
-        w_lam = np.clip(np.linalg.eigvalsh(lam), 0.0, None)
-        w_til = np.clip(np.linalg.eigvalsh(tilde), 0.0, None)
-        total = 0.0
-        for w in w_lam:
-            total += g_scalar(w, self.base)
-        for w in w_til:
-            total -= g_scalar(w, self.base)
-        return total
+    def normalize(self, factor: np.ndarray) -> np.ndarray:
+        used = self.energy(factor)
+        if used <= 0.0:
+            raise InfeasibleConstraint("degenerate iterate with zero energy")
+        return factor * math.sqrt(self.budget / used)
 
-    def pack(self, matrix: np.ndarray) -> np.ndarray:
-        return np.concatenate([matrix.real.ravel(), matrix.imag.ravel()])
+    def evaluate(self, factor: np.ndarray) -> tuple[float, np.ndarray]:
+        """Entropy reduction at ``C C^dag`` and its gradient in Lambda."""
+        state = GaugeState(factor @ factor.conj().T)
+        return _entropy_reduction_gradient(state, self.meas, self.base)
 
-    def unpack(self, vec: np.ndarray) -> np.ndarray:
-        half = self.s * self.s
-        return (vec[:half] + 1j * vec[half:]).reshape(self.s, self.s)
+    def slope(self, factor: np.ndarray, grad: np.ndarray, d: np.ndarray) -> float:
+        """Slope along ``t -> normalize(C + t d)`` at ``factor``.
 
-    def gradient(self, factor: np.ndarray, fd_step: float) -> np.ndarray:
-        """Central-difference gradient in the packed real parameterization."""
-        theta = self.pack(factor)
-        lam_norm = float(np.linalg.norm(factor @ factor.conj().T))
-        h = fd_step * (1.0 + lam_norm)
-        grad = np.zeros_like(theta)
-        for i in range(theta.size):
-            theta[i] += h
-            up = self.value(self.unpack(theta))
-            theta[i] -= 2.0 * h
-            down = self.value(self.unpack(theta))
-            theta[i] += h
-            grad[i] = (up - down) / (2.0 * h)
-        return grad
+        The rescaling's own factor, ``1 + O(t^2)``, is dropped.
+        """
+        shift = np.vdot(self.eps @ factor, d).real / self.budget
+        return float(np.vdot(2.0 * grad @ factor, d - shift * factor).real)
 
-    def project(self, grad: np.ndarray, factor: np.ndarray) -> np.ndarray:
-        """Project a gradient onto the tangent space of the energy shell."""
-        normal = self.pack(2.0 * self.eps @ factor)
-        norm_sq = float(normal @ normal)
-        if norm_sq <= 0.0:
-            return grad
-        return grad - (float(grad @ normal) / norm_sq) * normal
+    def certify(self, factor: np.ndarray,
+                grad: np.ndarray) -> tuple[np.ndarray, float]:
+        """Ascent direction in ``C`` and Frank-Wolfe gap at ``factor``.
+
+        The direction is ``2 G C`` projected onto the shell's tangent space.
+        The entropy reduction is concave in Lambda, so the gap
+        ``E max(0, lambda_max(eps^-1/2 G eps^-1/2)) - Sp(G Lambda)`` bounds
+        the distance to the maximum over ``Sp(eps Lambda) <= E`` from above.
+        """
+        ascent, normal = 2.0 * grad @ factor, self.eps @ factor
+        scale = (np.vdot(normal, ascent) / np.vdot(normal, normal)).real
+        direction = ascent - scale * normal
+        top = np.linalg.eigvalsh(self.eps_inv_root @ grad @ self.eps_inv_root).max()
+        used = np.trace(grad @ factor @ factor.conj().T).real
+        return direction, float(self.budget * max(0.0, top) - used)
 
 
-def _ascend(obj: _ShellObjective, factor: np.ndarray, settings: OptimizerSettings):
-    """Projected gradient ascent from one start; returns (factor, value, iters, gnorm)."""
+def _ascend(obj: _ShellObjective, factor: np.ndarray):
+    """Projected gradient ascent on the shell from ``factor``.
+
+    Stops at a Frank-Wolfe gap of at most :data:`GAP_TOL`, when no step
+    raises the value, or after :data:`MAX_ITER` gradients.  Returns
+    ``(factor, value, iterations, grad_norm, gap)`` at the returned factor.
+    """
     factor = obj.normalize(factor)
-    value = obj.value(factor)
-    step = settings.init_step
-    gnorm = math.inf
-    for iteration in range(1, settings.max_iter + 1):
-        grad = obj.project(obj.gradient(factor, settings.fd_step), factor)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < settings.grad_tol:
-            return factor, value, iteration, gnorm, True
-        theta = obj.pack(factor)
-        improved = False
+    value, grad = obj.evaluate(factor)
+    step = INIT_STEP
+    for iteration in range(1, MAX_ITER + 1):
+        direction, gap = obj.certify(factor, grad)
+        gnorm = float(np.linalg.norm(direction))
+        if gap <= GAP_TOL or iteration == MAX_ITER:
+            break
         while step >= 1e-14:
-            candidate = obj.normalize(obj.unpack(theta + step * grad))
-            cand_value = obj.value(candidate)
-            if cand_value > value + 1e-4 * step * gnorm * gnorm:
-                factor, value = candidate, cand_value
+            candidate = obj.normalize(factor + step * direction)
+            cand_value, cand_grad = obj.evaluate(candidate)
+            rise = cand_value - value
+            if abs(rise) <= VALUE_RTOL * (1.0 + abs(value)):
+                # the values cannot resolve this rise; the exact slopes can
+                # (trapezoid rule, exact for a quadratic along the path)
+                rise = 0.5 * step * (gnorm * gnorm
+                                     + obj.slope(candidate, cand_grad, direction))
+            if rise > 1e-4 * step * gnorm * gnorm:
+                factor, value, grad = candidate, cand_value, cand_grad
                 step = min(step * 2.0, 1e3)
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            # line search exhausted: the finite-difference gradient is at its
-            # noise floor, treat as converged at the measured gradient norm
-            return factor, value, iteration, gnorm, gnorm < 10.0 * settings.grad_tol
-    return factor, value, settings.max_iter, gnorm, False
+        else:
+            break
+    return factor, value, iteration, gnorm, gap
 
 
 def cea_multimode(
     meas: GaugeMeasurement,
     constraint: EnergyConstraint,
     base: LogBase = LogBase.BITS,
-    settings: OptimizerSettings | None = None,
 ) -> CapacityReport:
     """Energy-constrained assisted capacity of a multimode measurement.
 
@@ -271,59 +255,32 @@ def cea_multimode(
     sits on the boundary because the unconstrained supremum is infinite).
     The search runs over correlation matrices only: among all states with
     fixed second moments the Gaussian one attains the largest entropy
-    reduction, so nothing is lost.  Deterministic for a fixed seed.
+    reduction, so nothing is lost.  The entropy reduction is concave in
+    Lambda, so one ascent from ``Lambda = eps^-1`` with the analytic
+    gradient suffices, and its Frank-Wolfe gap certifies the result.
     """
-    settings = settings or OptimizerSettings()
     if meas.s != constraint.s:
         raise DimensionMismatch(
             f"measurement has {meas.s} modes, constraint has {constraint.s}"
         )
     obj = _ShellObjective(meas, constraint, base)
-
+    factor, value, iterations, gnorm, gap = _ascend(obj, obj.eps_inv_root)
+    state = GaugeState(factor @ factor.conj().T)
+    unassisted = ratio = None
     if meas.s == 1:
-        # the energy shell is a single point: the correlation equals E / eps
-        lam = constraint.budget / constraint.hamiltonian[0, 0].real
-        state = GaugeState(np.array([[lam]], dtype=complex))
-        value = obj.value(np.sqrt(np.array([[lam]], dtype=complex)))
-        noise = meas.noise[0, 0].real
-        unassisted = c_unassisted_one_mode(lam, noise, base)
+        # the energy shell is a single point, where the printed closed form applies
+        lam = state.correlation[0, 0].real
+        unassisted = c_unassisted_one_mode(lam, meas.occupations[0], base)
         ratio = value / unassisted if unassisted > 1e-300 else None
-        return CapacityReport(
-            assisted=value,
-            unassisted=unassisted,
-            gain=ratio,
-            best_state=state,
-            energy_used=lam * constraint.hamiltonian[0, 0].real,
-            base=base,
-        )
-
-    rng = np.random.default_rng(settings.seed)
-    eps_inv = np.linalg.inv(constraint.hamiltonian)
-    starts: list[np.ndarray] = [
-        hermitian_function(eps_inv, np.sqrt),
-        np.eye(meas.s, dtype=complex),
-    ]
-    while len(starts) < max(settings.starts, 2):
-        starts.append(
-            rng.normal(size=(meas.s, meas.s)) + 1j * rng.normal(size=(meas.s, meas.s))
-        )
-
-    best = None
-    for start in starts:
-        factor, value, iters, gnorm, ok = _ascend(obj, start.astype(complex), settings)
-        if best is None or value > best[1]:
-            best = (factor, value, iters, gnorm, ok)
-    factor, value, iters, gnorm, ok = best
-    lam = factor @ factor.conj().T
-    lam = (lam + lam.conj().T) / 2.0
     return CapacityReport(
         assisted=value,
-        unassisted=None,
-        gain=None,
-        best_state=GaugeState(lam),
+        unassisted=unassisted,
+        gain=ratio,
+        best_state=state,
         energy_used=obj.energy(factor),
         base=base,
-        converged=ok,
-        iterations=iters,
+        converged=gap <= GAP_TOL,
+        iterations=iterations,
         grad_norm=gnorm,
+        gap=gap,
     )

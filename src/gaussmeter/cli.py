@@ -9,8 +9,8 @@ Subcommands:
 
 Matrix inputs are JSON documents ``{"s": modes, "re": [[...]], "im": [[...]]}``
 with the imaginary part optional.  JSON results carry ``"schema": "1"``.
-Exit codes: 0 success, 2 invalid input, 3 numerical failure or
-non-convergence, 4 verification failure.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure or a capacity
+whose Frank-Wolfe gap exceeds ``capacity.GAP_TOL``, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .capacity import (
     EnergyConstraint,
-    OptimizerSettings,
     cea_multimode,
     sweep_one_mode,
 )
@@ -158,8 +157,7 @@ def cmd_capacity(args) -> int:
     eps, _ = load_matrix_file(args.epsilon, side=1)
     base = LogBase(args.base)
     constraint = EnergyConstraint(hamiltonian=eps, budget=args.energy)
-    settings = OptimizerSettings(seed=args.seed)
-    report = cea_multimode(GaugeMeasurement(noise), constraint, base, settings)
+    report = cea_multimode(GaugeMeasurement(noise), constraint, base)
     result = {
         "schema": SCHEMA,
         "base": base.value,
@@ -172,6 +170,7 @@ def cmd_capacity(args) -> int:
         "converged": report.converged,
         "iterations": report.iterations,
         "grad_norm": report.grad_norm,
+        "gap": report.gap,
     }
     print(json.dumps(result))
     return 0 if report.converged else 3
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", required=True, help="measurement noise matrix (JSON)")
     p.add_argument("--epsilon", required=True, help="energy matrix (JSON)")
     p.add_argument("--energy", type=float, required=True, help="mean-energy budget")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--base", choices=["bits", "nats"], default="bits")
     p.set_defaults(func=cmd_capacity)
 

@@ -184,26 +184,34 @@ def povm_density(noise, z, dim: int, tail_tol: float = TAIL_TOL) -> np.ndarray:
     return d_op @ thermal_state(noise, dim, tail_tol) @ d_op.conj().T
 
 
-def validate_density(rho: np.ndarray, trace_tol: float = 1e-6) -> np.ndarray:
-    """Check Hermiticity, normalization and positivity of a density operator."""
-    rho = np.asarray(rho, dtype=complex)
+def _check_density(rho: np.ndarray, w: np.ndarray, trace_tol: float) -> None:
+    """Check Hermiticity, unit trace and positivity of ``rho``, with spectrum ``w``."""
     defect = np.abs(rho - rho.conj().T).max(initial=0.0)
     if defect > 1e-9 * (1.0 + np.abs(rho).max(initial=0.0)):
         raise ValueError(f"density operator asymmetry {defect:.3e}")
     trace = np.trace(rho).real
     if abs(trace - 1.0) > trace_tol:
         raise ValueError(f"density operator trace {trace} is not 1 within {trace_tol}")
-    w_min = np.linalg.eigvalsh(rho).min()
+    w_min = w.min(initial=0.0)
     if w_min < -1e-10:
         raise ValueError(f"density operator has eigenvalue {w_min:.3e}")
+
+
+def _spectrum_entropy(w: np.ndarray, base: LogBase) -> float:
+    w = w[w > ENTROPY_FLOOR]
+    return float(-(w * np.log(w)).sum() / base.ln_base)
+
+
+def validate_density(rho: np.ndarray, trace_tol: float = 1e-6) -> np.ndarray:
+    """Check Hermiticity, normalization and positivity of a density operator."""
+    rho = np.asarray(rho, dtype=complex)
+    _check_density(rho, np.linalg.eigvalsh(rho), trace_tol)
     return rho
 
 
 def von_neumann_entropy(rho: np.ndarray, base: LogBase = LogBase.BITS) -> float:
     """Entropy of a PSD operator; eigenvalues below the noise floor are dropped."""
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > ENTROPY_FLOOR]
-    return float(-(w * np.log(w)).sum() / base.ln_base)
+    return _spectrum_entropy(np.linalg.eigvalsh(rho), base)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -381,7 +389,8 @@ def monte_carlo_grid(
 
 
 def _er_weighted_sums(
-    rho: np.ndarray,
+    factor: np.ndarray,
+    dim: int,
     noise: np.ndarray,
     points: np.ndarray,
     weights: np.ndarray,
@@ -392,27 +401,17 @@ def _er_weighted_sums(
     """Per-point ``w p`` and ``w p H(posterior)`` for an ``s``-mode state.
 
     ``points`` has shape ``(n, s)`` and ``noise`` one occupation per mode.
-    With ``rho = W W^dag`` the unnormalized posterior is ``B B^dag`` for
+    With ``rho = W W^dag`` (``factor`` is ``W``, ``dim`` its truncation per
+    mode) the unnormalized posterior is ``B B^dag`` for
     ``B = sqrt(rho_noise) D(z)^dag W``, whose nonzero spectrum is that of the
-    ``r x r`` Gram matrix ``B^dag B``.  ``W`` has one column per number state
-    of the support of ``rho``, so the cost follows the support and not the
-    spectrum: a rank-12 state padded with zeros to ``dim = 40`` gives
-    ``r = 12``, a thermal state ``r = D``.  ``D(z)^dag`` is applied one mode
-    at a time in the eigenbases of its generators; its composition phase has
-    modulus 1 and drops out of ``B^dag B``.
+    ``r x r`` Gram matrix ``B^dag B``: ``r = 12`` for a rank-12 state padded
+    with zeros to ``dim = 40``, ``r = D`` for a thermal state.  ``D(z)^dag``
+    is applied one mode at a time in the eigenbases of its generators; its
+    composition phase has modulus 1 and drops out of ``B^dag B``.
     """
     n, modes = points.shape
-    dim = _mode_dimension(rho, modes)
+    rank = factor.shape[1]
     theta_re, v_re, theta_im, v_im = _displacement_basis(dim)
-    # rho vanishes outside its support, so W lives there.  Every eigenpair of
-    # the support block is kept (roundoff-negative ones as zero columns): a
-    # floor on the spectrum would tie the cost to where it cuts a state's tail.
-    nonzero = rho != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    w, u = np.linalg.eigh(rho[np.ix_(support, support)])
-    rank = support.size
-    factor = np.zeros((rho.shape[0], rank), dtype=complex)
-    factor[support] = u * np.sqrt(np.clip(w, 0.0, None))
     # V_re^dag on every mode's axis, once for all points
     for k in range(modes):
         factor = (v_re.conj().T @ factor.reshape(dim**k, dim, -1)).reshape(-1, rank)
@@ -483,8 +482,17 @@ def er_numeric(
         GridMassDeficit: when the integrated outcome probability misses 1
             by more than ``mass_tol``.
     """
-    rho = validate_density(rho)
-    entropy_in = von_neumann_entropy(rho, base)
+    rho = np.asarray(rho, dtype=complex)
+    # rho is zero off its support (states with a nonzero row or column), so one
+    # eigh of that block gives its nonzero spectrum and W, rho = W W^dag.  Every
+    # eigenpair is kept: a spectral floor would tie the cost to a state's tail.
+    nonzero = rho != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    w, u = np.linalg.eigh(rho[np.ix_(support, support)])
+    _check_density(rho, w, 1e-6)
+    entropy_in = _spectrum_entropy(w, base)
+    factor = np.zeros((rho.shape[0], support.size), dtype=complex)
+    factor[support] = u * np.sqrt(np.clip(w, 0.0, None))
     points = grid.points.reshape(grid.points.shape[0], -1)
     n, modes = points.shape
     dim = _mode_dimension(rho, modes)
@@ -501,7 +509,7 @@ def er_numeric(
     mass = np.zeros(n)
     weighted = np.zeros(n)
     mass[idx], weighted[idx] = _er_weighted_sums(
-        rho, noise_arr, points[idx], grid.weights[idx], base, p_min, tail_tol
+        factor, dim, noise_arr, points[idx], grid.weights[idx], base, p_min, tail_tol
     )
     total_mass = float(np.sum(mass))
     if abs(total_mass - 1.0) > mass_tol:

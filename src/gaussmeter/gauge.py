@@ -13,7 +13,7 @@ spectral functions of ``N`` that remain finite at ``N = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
 from .matfun import (
     EIG_CLIP,
     LogBase,
+    _g_nats,
     as_hermitian,
     g_trace,
-    hermitian_function,
 )
 
 # Absolute tolerance on the Hermiticity defect of the computed posterior
@@ -34,12 +34,11 @@ POSTERIOR_HERM_TOL = 1e-9
 CP_MARGIN_TOL = 1e-9
 
 
-def _as_psd(matrix, what: str) -> np.ndarray:
-    a = as_hermitian(matrix)
-    w_min = np.linalg.eigvalsh(a).min() if a.size else 0.0
+def _check_psd(a: np.ndarray, w: np.ndarray, what: str) -> None:
+    """Reject ``a`` (with spectrum ``w``) if an eigenvalue is clearly negative."""
+    w_min = w.min(initial=0.0)
     if w_min < -EIG_CLIP * (1.0 + np.abs(a).max(initial=0.0)):
         raise NegativeEigenvalue(f"{what} has eigenvalue {w_min:.3e} < 0")
-    return a
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,9 @@ class GaugeState:
     correlation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "correlation", _as_psd(self.correlation, "state correlation")
-        )
+        a = as_hermitian(self.correlation)
+        _check_psd(a, np.linalg.eigvalsh(a), "state correlation")
+        object.__setattr__(self, "correlation", a)
 
     @property
     def s(self) -> int:
@@ -60,16 +59,38 @@ class GaugeState:
 
 @dataclass(frozen=True)
 class GaugeMeasurement:
-    """Phase-insensitive Gaussian measurement with noise correlation ``N >= 0``."""
+    """Phase-insensitive Gaussian measurement with noise correlation ``N >= 0``.
+
+    ``N`` is diagonalized once, on construction, into ``occupations`` (its
+    eigenvalues, clipped at 0) and modes; :meth:`spectral` builds functions
+    of ``N`` from them, ``grow = sqrt(N(N+I))`` and ``shrink = sqrt(N/(N+I))``
+    among them.
+    """
 
     noise: np.ndarray
+    occupations: np.ndarray = field(init=False, repr=False, compare=False)
+    _modes: np.ndarray = field(init=False, repr=False, compare=False)
+    grow: np.ndarray = field(init=False, repr=False, compare=False)
+    shrink: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "noise", _as_psd(self.noise, "measurement noise"))
+        a = as_hermitian(self.noise)
+        w, u = np.linalg.eigh(a)
+        _check_psd(a, w, "measurement noise")
+        object.__setattr__(self, "noise", a)
+        object.__setattr__(self, "occupations", np.clip(w, 0.0, None))
+        object.__setattr__(self, "_modes", u)
+        for name, fn in (("grow", lambda x: np.sqrt(x * (x + 1.0))),
+                         ("shrink", lambda x: np.sqrt(x / (x + 1.0)))):
+            object.__setattr__(self, name, self.spectral(fn))
 
     @property
     def s(self) -> int:
         return self.noise.shape[0]
+
+    def spectral(self, fn) -> np.ndarray:
+        """The matrix function ``fn(N)`` of a vectorized scalar ``fn``."""
+        return (self._modes * fn(self.occupations)) @ self._modes.conj().T
 
 
 @dataclass(frozen=True)
@@ -119,18 +140,40 @@ def posterior_params(state: GaugeState, meas: GaugeMeasurement) -> GaugePosterio
     Hermiticity holds analytically, floating point leaves a tiny defect).
     """
     s = _check_dims(state, meas)
-    lam, noise = state.correlation, meas.noise
-    grow = hermitian_function(noise, lambda w: np.sqrt(w * (w + 1.0)))
-    shrink = hermitian_function(noise, lambda w: np.sqrt(w / (w + 1.0)))
-    m = lam + noise + np.eye(s)
-    m_inv = np.linalg.inv(m)
-    gain = grow @ m_inv
-    corr = shrink @ lam @ m_inv @ grow
+    lam = state.correlation
+    m_inv = np.linalg.inv(lam + meas.noise + np.eye(s))
+    corr = meas.shrink @ lam @ m_inv @ meas.grow
     defect = np.abs(corr - corr.conj().T).max(initial=0.0)
     if defect > POSTERIOR_HERM_TOL * (1.0 + np.abs(corr).max(initial=0.0)):
         raise NotHermitian(f"posterior correlation defect {defect:.3e}")
     corr = (corr + corr.conj().T) / 2.0
-    return GaugePosterior(gain=gain, correlation=corr)
+    return GaugePosterior(gain=meas.grow @ m_inv, correlation=corr)
+
+
+def _entropy_reduction_gradient(
+    state: GaugeState, meas: GaugeMeasurement, base: LogBase
+) -> tuple[float, np.ndarray]:
+    """Entropy reduction and its gradient ``G`` in Lambda, ``dER = Sp(G dLambda)``.
+
+    With ``M = Lambda+N+I`` and ``R = sqrt(N(N+I))``, ``Ntilde = N - R M^-1 R``,
+    so ``dNtilde = R M^-1 dLambda M^-1 R`` and
+    ``G = g'(Lambda) - K^dag g'(Ntilde) K`` with ``K = R M^-1`` and
+    ``g'(x) = log(1 + 1/x)``.  Zero eigenvalues of ``Ntilde`` lie in the
+    kernel of ``N``, where ``R`` vanishes, so they contribute nothing;
+    a zero eigenvalue of ``Lambda`` makes ``G`` infinite.
+    """
+    post = posterior_params(state, meas)
+    w_lam, u_lam = np.linalg.eigh(state.correlation)
+    w_til, u_til = np.linalg.eigh(post.correlation)
+    w_lam, w_til = np.clip(w_lam, 0.0, None), np.clip(w_til, 0.0, None)
+    value = (_g_nats(w_lam).sum() - _g_nats(w_til).sum()) / base.ln_base
+    d_lam = np.log1p(np.divide(1.0, w_lam, out=np.full_like(w_lam, np.inf),
+                               where=w_lam > 0.0))
+    d_til = np.log1p(np.divide(1.0, w_til, out=np.zeros_like(w_til),
+                               where=w_til > EIG_CLIP))
+    left = post.gain.conj().T @ u_til
+    grad = (u_lam * d_lam) @ u_lam.conj().T - (left * d_til) @ left.conj().T
+    return float(value), grad / base.ln_base
 
 
 def entropy_reduction_gauge(
@@ -151,12 +194,9 @@ def sqrt_gaussian_params(meas: GaugeMeasurement) -> tuple[np.ndarray, float]:
     Returns ``(L, c^2)`` with ``sqrt(rho_N) = c rho_L``,
     ``L = N + sqrt(N(N+I))`` and ``c^2 = det(sqrt(N) + sqrt(N+I))^2``.
     """
-    noise = meas.noise
-    grow = hermitian_function(noise, lambda w: np.sqrt(w * (w + 1.0)))
-    big_l = noise + grow
-    w = np.clip(np.linalg.eigvalsh(noise), 0.0, None)
+    w = meas.occupations
     c2 = float(np.prod((np.sqrt(w) + np.sqrt(w + 1.0)) ** 2))
-    return big_l, c2
+    return meas.noise + meas.grow, c2
 
 
 def dual_channel_params(state: GaugeState, meas: GaugeMeasurement) -> DualChannelParams:
@@ -166,10 +206,8 @@ def dual_channel_params(state: GaugeState, meas: GaugeMeasurement) -> DualChanne
     eye = np.eye(s)
     # R = 2L + I = (sqrt(N) + sqrt(N+I))^2; both R and R^-1 are spectral
     # functions of the noise, finite for degenerate N.
-    r = hermitian_function(meas.noise, lambda w: (np.sqrt(w) + np.sqrt(w + 1.0)) ** 2)
-    r_inv = hermitian_function(
-        meas.noise, lambda w: (np.sqrt(w) + np.sqrt(w + 1.0)) ** -2
-    )
+    r = meas.spectral(lambda w: (np.sqrt(w) + np.sqrt(w + 1.0)) ** 2)
+    r_inv = meas.spectral(lambda w: (np.sqrt(w) + np.sqrt(w + 1.0)) ** -2)
     plus, minus = eye + gain, eye - gain
     form = (plus @ r_inv @ plus.conj().T + minus @ r @ minus.conj().T) / 4.0
     form = (form + form.conj().T) / 2.0

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from gaussmeter import capacity
 from gaussmeter.capacity import (
     EnergyConstraint,
-    OptimizerSettings,
     c_unassisted_one_mode,
     cea_multimode,
     cea_one_mode,
@@ -193,8 +194,8 @@ class TestMultimode:
     def test_deterministic_given_seed(self):
         meas = GaugeMeasurement((np.eye(2) * 0.5).astype(complex))
         constraint = EnergyConstraint(np.diag([1.0, 1.5]), 3.0)
-        a = cea_multimode(meas, constraint, settings=OptimizerSettings(seed=11))
-        b = cea_multimode(meas, constraint, settings=OptimizerSettings(seed=11))
+        a = cea_multimode(meas, constraint)
+        b = cea_multimode(meas, constraint)
         assert a.assisted == b.assisted
         np.testing.assert_array_equal(
             a.best_state.correlation, b.best_state.correlation
@@ -203,6 +204,55 @@ class TestMultimode:
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleConstraint):
             EnergyConstraint(np.eye(2), 0.0)
+
+
+def coupled_capacity():
+    """Criterion 9's commuting coupled case by 1-D brute force.
+
+    eps = diag(1, 2), N = diag(0, 1), E = 2: the optimum is diagonal, so it
+    is the best split of the energy between the two one-mode capacities.
+    """
+    def minus(lam1):
+        return -(cea_one_mode(lam1, 0.0) + cea_one_mode((2.0 - lam1) / 2.0, 1.0))
+
+    best = minimize_scalar(minus, bounds=(1e-9, 2.0 - 1e-9), method="bounded",
+                           options={"xatol": 1e-12})
+    return -best.fun
+
+
+COUPLED = (np.diag([0.0, 1.0]), np.diag([1.0, 2.0]), 2.0)
+
+# absolute roundoff of computed capacities near 2 bits
+VALUE_ROUNDOFF = 1e-14
+
+
+class TestCertificate:
+    def test_reference_value(self):
+        assert coupled_capacity() == pytest.approx(2.8390143512, abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["decoupled", "coupled"])
+    def test_gap_bounds_the_error(self, case):
+        if case == "decoupled":
+            noise, eps, budget = np.eye(2), np.eye(2), 2.0
+            exact = 2.0 * cea_one_mode(1.0, 1.0)
+        else:
+            noise, eps, budget = COUPLED
+            exact = coupled_capacity()
+        report = cea_multimode(GaugeMeasurement(noise), EnergyConstraint(eps, budget))
+        assert report.converged == (report.gap <= capacity.GAP_TOL)
+        assert report.converged
+        assert exact - report.assisted <= report.gap + VALUE_ROUNDOFF
+        assert abs(exact - report.assisted) <= capacity.GAP_TOL + VALUE_ROUNDOFF
+
+    def test_capped_run_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(capacity, "MAX_ITER", 2)
+        noise, eps, budget = COUPLED
+        report = cea_multimode(GaugeMeasurement(noise), EnergyConstraint(eps, budget))
+        assert report.iterations == 2
+        assert not report.converged
+        assert report.gap > capacity.GAP_TOL
+        # the certificate holds at any iterate, not only at convergence
+        assert coupled_capacity() - report.assisted <= report.gap + VALUE_ROUNDOFF
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussmeter import capacity
 from gaussmeter.cli import format_sweep_csv, load_matrix_file, main
 from gaussmeter.capacity import sweep_one_mode
 
@@ -131,10 +132,22 @@ class TestCapacity:
         noise = write_matrix(tmp_path / "n.json", np.eye(2).tolist(), s=2)
         eps = write_matrix(tmp_path / "e.json", np.eye(2).tolist(), s=2)
         assert main(["capacity", "--noise", noise, "--epsilon", eps,
-                     "--energy", "2.0", "--seed", "0"]) == 0
+                     "--energy", "2.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cea"] == pytest.approx(2.0 * ER_UNIT, abs=1e-6)
         assert doc["c_unassisted"] is None
+        assert doc["converged"] is True
+        assert doc["gap"] <= capacity.GAP_TOL
+
+    def test_capped_run_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(capacity, "MAX_ITER", 2)
+        noise = write_matrix(tmp_path / "n.json", np.diag([0.0, 1.0]).tolist(), s=2)
+        eps = write_matrix(tmp_path / "e.json", np.diag([1.0, 2.0]).tolist(), s=2)
+        assert main(["capacity", "--noise", noise, "--epsilon", eps,
+                     "--energy", "2.0"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is False
+        assert doc["gap"] > capacity.GAP_TOL
 
     def test_zero_energy_exits_2(self, unit_files, capsys):
         _, noise = unit_files

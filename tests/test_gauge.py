@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_psd
+from conftest import random_psd, random_unitary
 from gaussmeter.errors import DimensionMismatch, NegativeEigenvalue
 from gaussmeter.gauge import (
     GaugeMeasurement,
     GaugeState,
+    _entropy_reduction_gradient,
     cp_certificate,
     dual_channel_params,
     entropy_reduction_gauge,
@@ -15,7 +16,7 @@ from gaussmeter.gauge import (
     posterior_params,
     sqrt_gaussian_params,
 )
-from gaussmeter.matfun import g_scalar, g_trace, hermitian_function
+from gaussmeter.matfun import LogBase, g_scalar, g_trace, hermitian_function
 
 ER_UNIT = 0.9182958340544896  # 2 - g(1/3), frozen
 
@@ -135,6 +136,51 @@ class TestEntropyReduction:
         assert entropy_reduction_gauge(state, meas) == pytest.approx(
             2.0 * ER_UNIT, abs=1e-12
         )
+
+
+def hermitian_basis(s):
+    """Orthonormal basis of the s x s Hermitian matrices under ``Sp(A B)``."""
+    for i in range(s):
+        for j in range(s):
+            b = np.zeros((s, s), dtype=complex)
+            if i == j:
+                b[i, i] = 1.0
+            elif i < j:
+                b[i, j] = b[j, i] = 1.0 / math.sqrt(2.0)
+            else:
+                b[i, j], b[j, i] = 1j / math.sqrt(2.0), -1j / math.sqrt(2.0)
+            yield b
+
+
+class TestEntropyReductionGradient:
+    @pytest.mark.parametrize("s, noise_rank", [(2, 1), (3, 2), (3, 1), (5, 5)])
+    def test_matches_central_differences(self, rng, s, noise_rank):
+        # independent route: central differences of the public closed form
+        lam = random_psd(rng, s) + 0.2 * np.eye(s)
+        modes = random_unitary(rng, s)[:, :noise_rank]
+        noise = (modes * rng.uniform(0.2, 2.0, noise_rank)) @ modes.conj().T
+        meas = GaugeMeasurement(noise)
+        for base in LogBase:
+            value, grad = _entropy_reduction_gradient(GaugeState(lam), meas, base)
+            assert value == pytest.approx(
+                entropy_reduction_gauge(GaugeState(lam), meas, base), abs=1e-12
+            )
+            h = 1e-5
+            numeric = np.zeros((s, s), dtype=complex)
+            for b in hermitian_basis(s):
+                up = entropy_reduction_gauge(GaugeState(lam + h * b), meas, base)
+                down = entropy_reduction_gauge(GaugeState(lam - h * b), meas, base)
+                numeric += (up - down) / (2.0 * h) * b
+            assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+
+    def test_heterodyne_is_state_entropy_derivative(self):
+        # N = 0: the posterior is pure, so G = g'(Lambda) = log(1 + 1/Lambda)
+        lam = np.diag([0.5, 2.0]).astype(complex)
+        _, grad = _entropy_reduction_gradient(
+            GaugeState(lam), GaugeMeasurement(np.zeros((2, 2))), LogBase.NATS
+        )
+        np.testing.assert_allclose(grad, np.diag(np.log1p(1.0 / np.diag(lam).real)),
+                                   atol=1e-15)
 
 
 class TestSqrtGaussian:
