@@ -20,8 +20,8 @@ from .gauge import GaugeMeasurement, GaugeState
 from .matfun import (
     LogBase,
     SymplecticForm,
+    _g_nats,
     as_symmetric,
-    g_scalar,
     hermitian_function,
     symplectic_form,
     symplectic_spectrum,
@@ -94,7 +94,7 @@ def gaussian_entropy(alpha: RealCovariance, base: LogBase = LogBase.BITS) -> flo
     Equals the sum of ``g(nu_j - 1/2)`` over the symplectic eigenvalues.
     """
     nus = symplectic_spectrum(alpha.cov, alpha.form)
-    return float(sum(g_scalar(max(nu - 0.5, 0.0), base) for nu in nus))
+    return float(_g_nats(np.clip(nus - 0.5, 0.0, None)).sum() / base.ln_base)
 
 
 def _sqrt_shrink_factor(beta: np.ndarray, form: SymplecticForm) -> np.ndarray:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +238,18 @@ class TestVerify:
         assert main(["verify", "--case", "cp", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "cp" in out and "PASS" in out
+
+    def test_module_entry_point(self):
+        # ``python -m gaussmeter`` from a checkout, without an install
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "gaussmeter", "verify", "--case", "cp"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "cp" in done.stdout and "PASS" in done.stdout
 
     def test_posterior_case(self, capsys):
         assert main(["verify", "--case", "lemma1", "--seed", "7"]) == 0

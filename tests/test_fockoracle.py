@@ -174,6 +174,39 @@ class TestPosteriorState:
                 posterior_state(rho, 0.0, 6.2)
 
 
+class TestOutcomeRules:
+    @pytest.mark.parametrize("lam, noise", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.0)])
+    def test_default_rules_integrate_outcome_gaussian(self, lam, noise):
+        sigma = lam + noise + 1.0
+        grid = default_grid(lam, noise)
+        # the fine rule and its companion sit on disjoint points
+        assert np.count_nonzero(grid.weights) == 400
+        assert np.count_nonzero(grid.coarse) == 225
+        assert not np.any(grid.weights * grid.coarse)
+        density = np.exp(-np.abs(grid.points) ** 2 / sigma) / sigma
+        for weights in (grid.weights, grid.coarse):
+            assert np.sum(weights * density) == pytest.approx(1.0, abs=1e-12)
+            second = np.sum(weights * density * np.abs(grid.points) ** 2)
+            assert second == pytest.approx(sigma, abs=1e-12)
+
+    def test_cartesian_estimate_is_half_resolution_difference(self):
+        # the estimate against the trapezoid rule of the every-other subgrid,
+        # built by hand and integrated on the same points
+        rho = thermal_state(1.0, 40)
+        grid = cartesian_grid(5.0 * math.sqrt(3.0), 0.3 * math.sqrt(3.0))
+        value, estimate = er_numeric(rho, 1.0, grid)
+        m = math.isqrt(grid.points.size)
+        axis = grid.points.real.reshape(m, m)[:, 0]
+        w1 = np.full(axis[::2].size, axis[2] - axis[0])
+        w1[[0, -1]] *= 0.5
+        half = np.zeros((m, m))
+        half[::2, ::2] = np.outer(w1, w1) / math.pi
+        fine, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, grid.weights, "fine"))
+        coarse, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, half.ravel(), "half"))
+        assert value == fine
+        assert estimate == pytest.approx(abs(fine - coarse), abs=1e-15)
+
+
 class TestErNumeric:
     def test_pure_input_yields_zero(self):
         rho = coherent_state(0.7 + 0.3j, 40)
@@ -228,7 +261,7 @@ class TestErNumeric:
         points = 0.4 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
         weights = rng.uniform(0.5, 1.5, size=6)
         grid = OutcomeGrid(
-            points=points, weights=weights, radius=None, scheme="monte-carlo"
+            points=points, weights=weights, scheme="monte-carlo"
         )
         value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
         expected = von_neumann_entropy(rho)
@@ -363,7 +396,6 @@ def test_outcome_grid_rejects_negative_weights():
         OutcomeGrid(
             points=np.array([0.0j]),
             weights=np.array([-1.0]),
-            radius=1.0,
             scheme="cartesian-trapezoid",
         )
 

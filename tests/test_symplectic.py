@@ -124,6 +124,23 @@ class TestEntropyReductionGeneral:
                 >= -1e-9
             )
 
+    def test_joint_symplectic_invariance(self, rng):
+        # a Gaussian unitary applied to both the state and the measurement
+        # noise changes nothing; S = exp(J K) includes squeezing
+        for i in range(60):
+            s = 1 + i % 3
+            alpha = random_admissible_cov(rng, s)
+            beta = random_admissible_cov(rng, s)
+            sympl = random_symplectic(rng, s)
+            ref = entropy_reduction_general(
+                RealCovariance(alpha), GeneralMeasurement(beta=RealCovariance(beta))
+            )
+            moved = entropy_reduction_general(
+                RealCovariance(sympl @ alpha @ sympl.T),
+                GeneralMeasurement(beta=RealCovariance(sympl @ beta @ sympl.T)),
+            )
+            assert moved == pytest.approx(ref, abs=1e-10)
+
     def test_squeezed_input_matches_fock_engine(self):
         # squeezed thermal state with covariance diag(2, 1/2) measured with
         # isotropic noise beta = 1.5 I (the N = 1 phase-insensitive POVM)
