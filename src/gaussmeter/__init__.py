@@ -28,7 +28,6 @@ from .gauge import (
 from .matfun import (
     LogBase,
     SymplecticForm,
-    g_matrix,
     g_scalar,
     g_trace,
     psd_sqrt,
@@ -68,7 +67,6 @@ __all__ = [
     "entropy_reduction_gauge",
     "entropy_reduction_general",
     "excess_limit",
-    "g_matrix",
     "g_scalar",
     "g_trace",
     "gain",

@@ -81,10 +81,10 @@ class CapacityReport:
 
 
 def _check_scalar_args(energy: float, noise: float):
-    if not energy > 0.0:
-        raise InvalidRange(f"energy must be positive, got {energy}")
-    if noise < 0.0:
-        raise InvalidRange(f"noise must be nonnegative, got {noise}")
+    if not 0.0 < energy < math.inf:
+        raise InvalidRange(f"energy must be positive and finite, got {energy}")
+    if not 0.0 <= noise < math.inf:
+        raise InvalidRange(f"noise must be finite and nonnegative, got {noise}")
 
 
 def cea_one_mode(energy: float, noise: float, base: LogBase = LogBase.BITS) -> float:

@@ -16,7 +16,10 @@ operator is built; the posterior's nonzero spectrum is that of the
 is the grid's: for one mode a Gauss-Hermite tensor rule scaled to the
 outcome distribution, or a Cartesian trapezoid grid, each with a coarser
 companion rule whose difference is the error estimate; for two modes
-seeded importance-sampling Monte Carlo, with its standard error.
+seeded importance-sampling Monte Carlo, with its standard error.  Chunks
+of outcomes run on ``GAUSSMETER_THREADS`` worker threads (default 1); each
+writes only its own outcomes, and the chunks in flight together hold at most
+``CHUNK_ENTRIES`` entries of ``B`` (one outcome per worker at the least).
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -26,7 +29,9 @@ against the quadrature mass budget; see :func:`validity_radius`.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -54,9 +59,9 @@ ENTROPY_FLOOR = 1e-14
 # Default bound on the unrepresented tail of a truncated thermal state.
 TAIL_TOL = 1e-6
 
-# Complex entries of the stack of ``B`` factors integrated per chunk: 256
+# Complex entries of the ``B`` factors in flight across all workers: 256
 # full-width one-mode factors at dim 40.  Bounds the kernel's working memory
-# at any mode count and support size.
+# at any mode count, support size and worker count.
 CHUNK_ENTRIES = 256 * 40 * 40
 
 # Gauss-Hermite nodes per axis of the default one-mode rule and of its
@@ -66,6 +71,17 @@ CHUNK_ENTRIES = 256 * 40 * 40
 # the accuracy (values wander by about 1e-6 on rank-12 states from 16 to 32).
 HERMITE_NODES = 20
 HERMITE_COMPANION_NODES = 15
+
+
+def thread_cap(default: int = 1) -> int:
+    """Chunk workers of :func:`er_numeric`: ``GAUSSMETER_THREADS``, else ``default``."""
+    raw = os.environ.get("GAUSSMETER_THREADS")
+    if raw is None:
+        return max(1, default)
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return 1
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -83,6 +99,8 @@ def validity_radius(dim: int, noise: float) -> float:
     numeric outcome density becomes unreliable.
     """
     nbar = float(noise)
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"mean occupation must be finite and nonnegative, got {nbar}")
 
     def fits(r: float) -> bool:
         spread = math.sqrt(r * r * (2.0 * nbar + 1.0) + nbar * (nbar + 1.0) + 1.0)
@@ -101,8 +119,10 @@ def validity_radius(dim: int, noise: float) -> float:
 def _thermal_diagonal(mean_number: float, dim: int, tail_tol: float) -> np.ndarray:
     if dim < 2:
         raise DimensionMismatch(f"truncation must keep at least 2 levels, got {dim}")
-    if mean_number < 0.0:
-        raise ValueError(f"mean occupation must be nonnegative, got {mean_number}")
+    if not 0.0 <= mean_number < math.inf:
+        raise ValueError(
+            f"mean occupation must be finite and nonnegative, got {mean_number}"
+        )
     if mean_number == 0.0:
         probs = np.zeros(dim)
         probs[0] = 1.0
@@ -194,6 +214,14 @@ def povm_density(noise, z, dim: int, tail_tol: float = TAIL_TOL) -> np.ndarray:
     return d_op @ thermal_state(noise, dim, tail_tol) @ d_op.conj().T
 
 
+def _as_density(rho) -> np.ndarray:
+    """``rho`` as a complex array, rejected before any work if not finite."""
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError("density operator has non-finite entries")
+    return rho
+
+
 def _check_density(rho: np.ndarray, w: np.ndarray, trace_tol: float) -> None:
     """Check Hermiticity, unit trace and positivity of ``rho``, with spectrum ``w``."""
     defect = np.abs(rho - rho.conj().T).max(initial=0.0)
@@ -213,8 +241,8 @@ def _spectrum_entropy(w: np.ndarray, base: LogBase) -> float:
 
 
 def validate_density(rho: np.ndarray, trace_tol: float = 1e-6) -> np.ndarray:
-    """Check Hermiticity, normalization and positivity of a density operator."""
-    rho = np.asarray(rho, dtype=complex)
+    """Check finiteness, Hermiticity, unit trace and positivity of a state."""
+    rho = _as_density(rho)
     _check_density(rho, np.linalg.eigvalsh(rho), trace_tol)
     return rho
 
@@ -329,6 +357,8 @@ class OutcomeGrid:
     coarse: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.points.shape[0] == 0:
+            raise ValueError("an outcome grid needs at least one point")
         if np.any(self.weights < 0.0):
             raise ValueError("quadrature weights must be nonnegative")
         if self.points.shape[0] != self.weights.shape[0]:
@@ -388,6 +418,10 @@ def default_grid(mean_correlation: float, noise: float) -> OutcomeGrid:
     rule's points).
     """
     variance = mean_correlation + noise + 1.0
+    if not 0.0 < variance < math.inf:
+        raise ValueError(
+            f"outcome variance lambda + N + 1 = {variance} must be positive and finite"
+        )
     fine_points, fine = _hermite_rule(HERMITE_NODES, variance)
     coarse_points, coarse = _hermite_rule(HERMITE_COMPANION_NODES, variance)
     return OutcomeGrid(
@@ -456,36 +490,48 @@ def _er_outcome_terms(
     rotate = v_im.conj().T @ v_re
     roots = [np.sqrt(_thermal_diagonal(nbar, dim, tail_tol))[:, None] * v_im
              for nbar in noise]
-    chunk = max(1, CHUNK_ENTRIES // factor.size)
+    workers = thread_cap()
+    chunk = max(1, CHUNK_ENTRIES // (factor.size * workers))
     density = np.zeros(n)
     density_entropy = np.zeros(n)
-    for start in range(0, n, chunk):
-        zs = points[start : start + chunk]
-        m = zs.shape[0]
-        # axes (mode axes..., point, rank): each mode's axis leads while its
-        # factor is applied, then moves behind the other mode axes
-        b = np.broadcast_to(factor[:, None, :], (factor.shape[0], m, rank))
-        for root, amps in zip(roots, zs.T):
-            phase_x = np.exp(1j * np.outer(theta_re, amps.real))[:, None, :, None]
-            phase_y = np.exp(-1j * np.outer(theta_im, amps.imag))[:, None, :, None]
-            b = b.reshape(dim, -1, m, rank) * phase_x
-            b = (rotate @ b.reshape(dim, -1)).reshape(b.shape) * phase_y
-            b = np.moveaxis((root @ b.reshape(dim, -1)).reshape(b.shape), 0, 1)
-        b = b.reshape(-1, m, rank).transpose(1, 0, 2)
-        gram = np.swapaxes(b.conj(), 1, 2) @ b
-        ps = np.einsum("kii->k", gram).real
-        keep = ps >= p_min
-        if not np.any(keep):
-            continue
-        spectra = np.linalg.eigvalsh(gram[keep]) / ps[keep, None]
-        spectra = np.clip(spectra, 0.0, None)
-        logs = np.where(
-            spectra > ENTROPY_FLOOR, np.log(np.maximum(spectra, ENTROPY_FLOOR)), 0.0
-        )
-        entropies = -(spectra * logs).sum(axis=1) / base.ln_base
-        idx = np.nonzero(keep)[0] + start
-        density[idx] = ps[keep]
-        density_entropy[idx] = ps[keep] * entropies
+
+    def integrate(starts) -> None:
+        """Fill the disjoint slices of the outputs at ``starts``, chunk by chunk."""
+        for start in starts:
+            zs = points[start : start + chunk]
+            m = zs.shape[0]
+            # axes (mode axes..., point, rank): each mode's axis leads while its
+            # factor is applied, then moves behind the other mode axes
+            b = np.broadcast_to(factor[:, None, :], (factor.shape[0], m, rank))
+            for root, amps in zip(roots, zs.T):
+                phase_x = np.exp(1j * np.outer(theta_re, amps.real))[:, None, :, None]
+                phase_y = np.exp(-1j * np.outer(theta_im, amps.imag))[:, None, :, None]
+                b = b.reshape(dim, -1, m, rank) * phase_x
+                b = (rotate @ b.reshape(dim, -1)).reshape(b.shape) * phase_y
+                b = np.moveaxis((root @ b.reshape(dim, -1)).reshape(b.shape), 0, 1)
+            b = b.reshape(-1, m, rank).transpose(1, 0, 2)
+            gram = np.swapaxes(b.conj(), 1, 2) @ b
+            ps = np.einsum("kii->k", gram).real
+            keep = ps >= p_min
+            if not np.any(keep):
+                continue
+            spectra = np.linalg.eigvalsh(gram[keep]) / ps[keep, None]
+            spectra = np.clip(spectra, 0.0, None)
+            logs = np.where(spectra > ENTROPY_FLOOR,
+                            np.log(np.maximum(spectra, ENTROPY_FLOOR)), 0.0)
+            entropies = -(spectra * logs).sum(axis=1) / base.ln_base
+            idx = np.nonzero(keep)[0] + start
+            density[idx] = ps[keep]
+            density_entropy[idx] = ps[keep] * entropies
+
+    starts = range(0, n, chunk)
+    if workers > 1 and len(starts) > 1:
+        # numpy releases the GIL; one task per chunk frees a worker's buffers
+        # between its chunks, which keeps peak memory at the serial loop's
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(integrate, ([start] for start in starts)))
+    else:
+        integrate(starts)  # one call: each chunk reuses the last one's memory
     return density, density_entropy
 
 
@@ -516,12 +562,13 @@ def er_numeric(
         bound: it misses truncation error and the validity-radius cut.
 
     Raises:
+        ValueError: when ``rho`` or ``noise`` is not finite.
         DimensionMismatch: when the state's dimension is not a power of the
             grid's mode count, or ``noise`` has neither 1 nor ``s`` entries.
         GridMassDeficit: when the integrated outcome probability misses 1
             by more than ``mass_tol``.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_density(rho)
     # rho is zero off its support (states with a nonzero row or column), so one
     # eigh of that block gives its nonzero spectrum and W, rho = W W^dag.  Every
     # eigenpair is kept: a spectral floor would tie the cost to a state's tail.

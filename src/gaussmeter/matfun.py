@@ -1,9 +1,9 @@
 """Spectral calculus shared by the analytic modules.
 
 Provides the bosonic entropy function ``g(x) = (x+1)log(x+1) - x log x``
-as a scalar and as a matrix function, principal square roots of positive
-semidefinite Hermitian matrices, and symplectic spectra of real covariance
-matrices.  All entropic outputs are reported in the base carried by a
+as a scalar and summed over a Hermitian spectrum, principal square roots
+of positive semidefinite Hermitian matrices, and symplectic spectra of real
+covariance matrices.  All entropic outputs are reported in the base carried by a
 :class:`LogBase` value; the default is bits.
 """
 
@@ -143,14 +143,6 @@ def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray],
         raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below clip tolerance")
     w = np.clip(w, 0.0, None)
     return (u * fn(w)) @ u.conj().T
-
-
-def g_matrix(matrix, base: LogBase = LogBase.BITS) -> np.ndarray:
-    """Lift :func:`g_scalar` to a Hermitian PSD matrix by spectral calculus.
-
-    The trace of the result equals the sum of ``g`` over the eigenvalues.
-    """
-    return hermitian_function(matrix, lambda w: _g_nats(w) / base.ln_base)
 
 
 def g_trace(matrix, base: LogBase = LogBase.BITS) -> float:

@@ -7,14 +7,13 @@ names double as the tokens accepted by the command line.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import fockoracle as oracle
+from .fockoracle import thread_cap  # noqa: F401  (re-exported as verify.thread_cap)
 from .gauge import (
     GaugeMeasurement,
     GaugeState,
@@ -33,17 +32,6 @@ class VerifyResult:
     worst: float
     bound: float
     detail: str
-
-
-def thread_cap(default: int = 4) -> int:
-    """Parallelism limit, honoring the GAUSSMETER_THREADS environment cap."""
-    raw = os.environ.get("GAUSSMETER_THREADS")
-    if raw is None:
-        return max(1, min(default, os.cpu_count() or 1))
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _random_psd(rng: np.random.Generator, s: int, scale: float = 0.6) -> np.ndarray:
@@ -172,12 +160,6 @@ CASES: dict[str, Callable[[int], VerifyResult]] = {
 
 
 def run_cases(names: Sequence[str], seed: int = 0) -> list[VerifyResult]:
-    """Run the named suites (in parallel up to the thread cap), ordered by name."""
-    ordered = [n for n in CASES if n in set(names)]
-    workers = min(thread_cap(), max(1, len(ordered)))
-    if workers == 1:
-        results = [CASES[name](seed) for name in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda n: CASES[n](seed), ordered))
-    return results
+    """Run the named suites in the order of :data:`CASES`."""
+    wanted = set(names)
+    return [case(seed) for name, case in CASES.items() if name in wanted]

@@ -56,6 +56,13 @@ class TestOneModeClosedForms:
         with pytest.raises(InvalidRange):
             c_unassisted_one_mode(-1.0, 0.0)
 
+    @pytest.mark.parametrize("energy, noise", [
+        (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)])
+    def test_non_finite_arguments(self, energy, noise):
+        for fn in (cea_one_mode, c_unassisted_one_mode, gain):
+            with pytest.raises(InvalidRange):
+                fn(energy, noise)
+
     def test_nats(self):
         assert cea_one_mode(1.0, 0.0, LogBase.NATS) == pytest.approx(
             2.0 * math.log(2.0)

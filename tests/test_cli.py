@@ -265,6 +265,7 @@ class TestVerify:
         assert thread_cap() == 1
         monkeypatch.delenv("GAUSSMETER_THREADS")
         assert thread_cap(default=1) == 1
+        assert thread_cap() == 1
 
     def test_correspondence_case(self, capsys):
         assert main(["verify", "--case", "correspondence", "--seed", "7"]) == 0

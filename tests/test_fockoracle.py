@@ -1,8 +1,11 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from gaussmeter import fockoracle
 from gaussmeter.errors import (
     DimensionMismatch,
     GridMassDeficit,
@@ -55,6 +58,11 @@ class TestThermalState:
         assert diag[1] == pytest.approx(0.25, abs=1e-15)
         mean = float(np.arange(40) @ diag)
         assert mean == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -0.1])
+    def test_rejects_invalid_occupation(self, mean):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            thermal_state(mean, 40)
 
     def test_tail_guard(self):
         with pytest.raises(TruncationTooSmall):
@@ -293,12 +301,73 @@ class TestErNumeric:
         with pytest.raises(DimensionMismatch):
             er_numeric(thermal_state([0.2, 0.2], 10), [0.2, 0.2, 0.2], grid)
 
+    def test_rejects_non_finite_state(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            er_numeric(np.full((40, 40), np.nan), 1.0, default_grid(1.0, 1.0))
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_rejects_non_finite_noise(self, noise):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            er_numeric(thermal_state(1.0, 40), noise, default_grid(1.0, 1.0))
+
     def test_monte_carlo_deterministic(self):
         sigma = 2.0 * np.eye(2)
         a = monte_carlo_grid(sigma, 50, seed=9)
         b = monte_carlo_grid(sigma, 50, seed=9)
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+class TestWorkerThreads:
+    """The chunk loop gives bit-identical results on one worker and on several."""
+
+    @staticmethod
+    def run(monkeypatch, threads, rho, noise, grid, switch=None):
+        """``er_numeric`` on ``threads`` workers, and the pool sizes it started.
+
+        ``switch`` (seconds), when given, is the interpreter's switch interval
+        for the call; a short one interleaves the workers' writes.
+        """
+        pools = []
+
+        class SpyPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(fockoracle, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setenv("GAUSSMETER_THREADS", str(threads))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch or interval)
+        try:
+            return er_numeric(rho, noise, grid), pools
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_two_mode_monte_carlo(self, monkeypatch):
+        # full rank 256 at dim 16: three outcomes per chunk on two workers
+        rho = thermal_state((0.2, 0.3), 16)
+        grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
+        serial, no_pool = self.run(monkeypatch, 1, rho, (0.1, 0.3), grid)
+        pooled, pools = self.run(monkeypatch, 2, rho, (0.1, 0.3), grid)
+        assert no_pool == [] and pools == [2]
+        assert pooled == serial
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_one_mode_thermal(self, monkeypatch, threads):
+        # 209 outcomes inside the validity radius: one chunk on one worker, 2
+        # chunks on two, 7 on eight (more workers than cores)
+        rho = thermal_state(1.0, 40)
+        grid = default_grid(1.0, 1.0)
+        serial, no_pool = self.run(monkeypatch, 1, rho, 1.0, grid)
+        pooled, pools = self.run(monkeypatch, threads, rho, 1.0, grid, switch=1e-6)
+        assert no_pool == [] and pools == [threads]
+        assert pooled == serial
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch, rng):
+        rho = random_low_energy_state(rng, 12, 40)
+        _, pools = self.run(monkeypatch, 2, rho, 1.0, default_grid(1.0, 1.0))
+        assert pools == []
 
 
 class TestMoments:
@@ -391,6 +460,12 @@ def test_validity_radius_monotone():
     assert validity_radius(40, 0.0) > validity_radius(40, 2.0)
 
 
+@pytest.mark.parametrize("noise", [math.nan, math.inf, -0.5, -3.0])
+def test_validity_radius_rejects_invalid_occupation(noise):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        validity_radius(40, noise)
+
+
 def test_outcome_grid_rejects_negative_weights():
     with pytest.raises(ValueError):
         OutcomeGrid(
@@ -398,6 +473,27 @@ def test_outcome_grid_rejects_negative_weights():
             weights=np.array([-1.0]),
             scheme="cartesian-trapezoid",
         )
+
+
+def test_validate_density_rejects_non_finite():
+    rho = thermal_state(0.1, 8)
+    rho[2, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density(rho)
+
+
+def test_outcome_grid_rejects_empty_point_set():
+    with pytest.raises(ValueError, match="at least one point"):
+        OutcomeGrid(points=np.zeros(0, dtype=complex), weights=np.zeros(0),
+                    scheme="cartesian-trapezoid")
+    with pytest.raises(ValueError, match="at least one point"):
+        monte_carlo_grid(np.eye(2), 0, seed=1)
+
+
+@pytest.mark.parametrize("lam, noise", [(-5.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+def test_default_grid_rejects_invalid_variance(lam, noise):
+    with pytest.raises(ValueError, match="positive and finite"):
+        default_grid(lam, noise)
 
 
 def test_entropy_of_thermal_matches_g():
