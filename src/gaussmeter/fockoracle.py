@@ -1,18 +1,21 @@
 """Brute-force verification engine on a truncated number basis.
 
 Everything here is dense linear algebra over the first ``dim`` number
-states per mode: thermal states, displacement operators (via the matrix
-exponential of the truncated generator, evaluated spectrally), the
-measurement's operator density, posterior states, moment extraction,
-phase averaging, and direct numerical evaluation of the entropy-reduction
-integral.  One batched kernel integrates any number of modes.  It factors
-the state once per call as ``rho = W W^dag`` on its support (the ``r``
-number states with a nonzero row or column; ``W`` is ``D x r``, ``D`` the
-state dimension), and for each outcome forms
-``B = sqrt(rho_noise) D(z)^dag W``.  ``D(z)^dag`` is applied one mode at a
-time in the eigenbases of its two truncated generators, so no ``D x D``
-operator is built; the posterior's nonzero spectrum is that of the
-``r x r`` Gram matrix ``B^dag B`` over its trace.  The quadrature rule
+states per mode: thermal states, displacement operators (the exact matrix
+exponential of the truncated generator, as a phase rotation of a real
+displacement along the real axis), the measurement's operator density,
+posterior states, moment extraction, phase averaging, and direct numerical
+evaluation of the entropy-reduction integral.  One batched kernel integrates
+any number of modes.  It factors the state once per call as
+``rho = W W^dag`` on its support (the ``r`` number states with a nonzero row
+or column; ``W`` is ``D x r``, ``D`` the state dimension), and for each
+outcome forms ``B = sqrt(rho_noise) D(z)^dag W``.  Per mode, with
+``z = r e^{i phi}``, ``D(z)^dag`` is the number phase ``e^{-i phi n}``
+followed by ``D(r)^dag`` in the eigenbasis of ``i(a^dag - a)``, so no
+``D x D`` operator is built; the posterior's nonzero spectrum is that of the
+``r x r`` Gram matrix ``B^dag B`` over its trace.  For a number-diagonal
+state the phase drops out, ``B`` is real, and the Gram matrix and its
+spectrum are taken in real arithmetic.  The quadrature rule
 is the grid's: for one mode a Gauss-Hermite tensor rule scaled to the
 outcome distribution, or a Cartesian trapezoid grid, each with a coarser
 companion rule whose difference is the error estimate; for two modes
@@ -157,17 +160,17 @@ def thermal_state(mean_number, dim: int, tail_tol: float = TAIL_TOL) -> np.ndarr
 
 @lru_cache(maxsize=8)
 def _displacement_basis(dim: int):
-    """Eigendecompositions driving the displacement exponential.
+    """Spectrum ``theta`` and eigenbasis ``V`` of the truncated generator ``i(a^dag - a)``.
 
-    ``a^dag - a`` generates real displacements and ``a^dag + a`` imaginary
-    ones; both are normal, so the exponential is evaluated exactly on the
-    truncated space through their spectra.
+    Every displacement is built from this one basis as
+    ``D(z) = U_phi D(r) U_phi^dag`` with ``z = r e^{i phi}``,
+    ``U_phi = e^{i phi n}`` and ``D(r) = exp(r(a^dag - a)) =
+    V e^{-i r theta} V^dag``, which is real.  ``U_phi a U_phi^dag =
+    e^{-i phi} a`` holds on the truncated space too, so the product is exactly
+    the truncated ``exp(z a^dag - conj(z) a)``.
     """
     a = annihilation(dim)
-    ad = a.conj().T
-    theta_re, v_re = np.linalg.eigh(1j * (ad - a))
-    theta_im, v_im = np.linalg.eigh(ad + a)
-    return theta_re, v_re, theta_im, v_im
+    return np.linalg.eigh(1j * (a.conj().T - a))
 
 
 def unitarity_defect(op: np.ndarray) -> float:
@@ -179,16 +182,22 @@ def unitarity_defect(op: np.ndarray) -> float:
 def displacement(z, dim: int) -> np.ndarray:
     """Truncated displacement operator ``exp(z a^dag - conj(z) a)``.
 
-    Accepts one amplitude per mode; multimode operators are tensor
-    products.  Warns when ``|z|^2 > dim/4`` (the action on low-lying states
-    degrades well before the amplitude reaches ``sqrt(dim)``).
+    Evaluated as ``e^{i phi n} exp(r(a^dag - a)) e^{-i phi n}`` for
+    ``z = r e^{i phi}``, which equals the exponential of the truncated
+    generator exactly (see :func:`_displacement_basis`).  Accepts one
+    amplitude per mode; multimode operators are tensor products.  Warns when
+    ``|z|^2 > dim/4`` (the action on low-lying states degrades well before the
+    amplitude reaches ``sqrt(dim)``).
 
     Raises:
+        ValueError: if an amplitude is not finite.
         TruncationTooSmall: if the constructed matrix fails the unitarity
             check, which only happens on arithmetic blowup since the
             truncated generator is exactly anti-Hermitian.
     """
     amps = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.isfinite(amps).all():
+        raise ValueError(f"displacement amplitudes must be finite, got {z}")
     for amp in amps:
         if abs(amp) ** 2 > dim / 4.0:
             warnings.warn(
@@ -196,20 +205,24 @@ def displacement(z, dim: int) -> np.ndarray:
                 f"{dim / 4.0:.1f}; matrix elements near the truncation edge are inaccurate",
                 stacklevel=2,
             )
-    theta_re, v_re, theta_im, v_im = _displacement_basis(dim)
+    theta, v = _displacement_basis(dim)
+    n = np.arange(dim)
     out = np.ones((1, 1), dtype=complex)
     for amp in amps:
-        x, y = amp.real, amp.imag
-        dx = (v_re * np.exp(-1j * (x * theta_re))) @ v_re.conj().T
-        dy = (v_im * np.exp(1j * (y * theta_im))) @ v_im.conj().T
-        out = np.kron(out, np.exp(1j * x * y) * (dx @ dy))
-    if unitarity_defect(out) > 1e-6:
+        d_r = ((v * np.exp(-1j * abs(amp) * theta)) @ v.conj().T).real
+        phase = np.exp(1j * np.angle(amp) * n)
+        out = np.kron(out, phase[:, None] * d_r * phase.conj())
+    if not unitarity_defect(out) <= 1e-6:
         raise TruncationTooSmall("displacement failed the unitarity check")
     return out
 
 
 def povm_density(noise, z, dim: int, tail_tol: float = TAIL_TOL) -> np.ndarray:
-    """Operator density ``D(z) rho_noise D(z)^dag`` of the measurement POVM."""
+    """Operator density ``D(z) rho_noise D(z)^dag`` of the measurement POVM.
+
+    Raises:
+        ValueError: when ``z`` or ``noise`` is not finite.
+    """
     d_op = displacement(z, dim)
     return d_op @ thermal_state(noise, dim, tail_tol) @ d_op.conj().T
 
@@ -292,8 +305,10 @@ def posterior_state(
     the density value ``p`` (against ``d^{2s}z / pi^s``).
 
     Raises:
+        ValueError: when ``rho`` or ``z`` is not finite.
         NegligibleOutcome: when ``p`` falls below ``p_min``.
     """
+    rho = _as_density(rho)
     dim = _mode_dimension(rho, np.atleast_1d(np.asarray(z)).size)
     d_op = displacement(z, dim)
     root = np.diag(_sqrt_thermal(noise, dim, tail_tol))
@@ -359,6 +374,10 @@ class OutcomeGrid:
     def __post_init__(self):
         if self.points.shape[0] == 0:
             raise ValueError("an outcome grid needs at least one point")
+        for name in ("points", "weights", "coarse"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"outcome grid {name} must be finite")
         if np.any(self.weights < 0.0):
             raise ValueError("quadrature weights must be nonnegative")
         if self.points.shape[0] != self.weights.shape[0]:
@@ -477,18 +496,24 @@ def _er_outcome_terms(
     mode) the unnormalized posterior is ``B B^dag`` for
     ``B = sqrt(rho_noise) D(z)^dag W``, whose nonzero spectrum is that of the
     ``r x r`` Gram matrix ``B^dag B``: ``r = 12`` for a rank-12 state padded
-    with zeros to ``dim = 40``, ``r = D`` for a thermal state.  ``D(z)^dag``
-    is applied one mode at a time in the eigenbases of its generators; its
-    composition phase has modulus 1 and drops out of ``B^dag B``.
+    with zeros to ``dim = 40``, ``r = D`` for a thermal state.  Per mode,
+    ``D(z)^dag = U_phi V e^{i r theta} V^dag U_phi^dag``; the left ``U_phi``
+    commutes with the diagonal noise root and drops out of ``B^dag B``.  A
+    real ``factor`` marks a number-diagonal state: then ``U_phi^dag W`` is
+    ``W`` times a unitary on the right, which drops out too, so ``V^dag`` is
+    applied once for all points and ``B`` is real up to roundoff, and its Gram
+    matrix and spectrum are taken in real arithmetic.
     """
     n, modes = points.shape
     rank = factor.shape[1]
-    theta_re, v_re, theta_im, v_im = _displacement_basis(dim)
-    # V_re^dag on every mode's axis, once for all points
-    for k in range(modes):
-        factor = (v_re.conj().T @ factor.reshape(dim**k, dim, -1)).reshape(-1, rank)
-    rotate = v_im.conj().T @ v_re
-    roots = [np.sqrt(_thermal_diagonal(nbar, dim, tail_tol))[:, None] * v_im
+    theta, v = _displacement_basis(dim)
+    diagonal = not np.iscomplexobj(factor)
+    if diagonal:
+        # V^dag on every mode's axis, once for all points
+        for k in range(modes):
+            factor = (v.conj().T @ factor.reshape(dim**k, dim, -1)).reshape(-1, rank)
+    number = np.arange(dim)
+    roots = [np.sqrt(_thermal_diagonal(nbar, dim, tail_tol))[:, None] * v
              for nbar in noise]
     workers = thread_cap()
     chunk = max(1, CHUNK_ENTRIES // (factor.size * workers))
@@ -504,12 +529,16 @@ def _er_outcome_terms(
             # factor is applied, then moves behind the other mode axes
             b = np.broadcast_to(factor[:, None, :], (factor.shape[0], m, rank))
             for root, amps in zip(roots, zs.T):
-                phase_x = np.exp(1j * np.outer(theta_re, amps.real))[:, None, :, None]
-                phase_y = np.exp(-1j * np.outer(theta_im, amps.imag))[:, None, :, None]
-                b = b.reshape(dim, -1, m, rank) * phase_x
-                b = (rotate @ b.reshape(dim, -1)).reshape(b.shape) * phase_y
+                b = b.reshape(dim, -1, m, rank)
+                if not diagonal:
+                    phase = np.exp(-1j * np.outer(number, np.angle(amps)))
+                    b = b * phase[:, None, :, None]
+                    b = (v.conj().T @ b.reshape(dim, -1)).reshape(b.shape)
+                b = b * np.exp(1j * np.outer(theta, np.abs(amps)))[:, None, :, None]
                 b = np.moveaxis((root @ b.reshape(dim, -1)).reshape(b.shape), 0, 1)
             b = b.reshape(-1, m, rank).transpose(1, 0, 2)
+            if diagonal:
+                b = b.real
             gram = np.swapaxes(b.conj(), 1, 2) @ b
             ps = np.einsum("kii->k", gram).real
             keep = ps >= p_min
@@ -572,12 +601,19 @@ def er_numeric(
     # rho is zero off its support (states with a nonzero row or column), so one
     # eigh of that block gives its nonzero spectrum and W, rho = W W^dag.  Every
     # eigenpair is kept: a spectral floor would tie the cost to a state's tail.
+    # A number-diagonal state takes the real W = sqrt(rho) instead, which gates
+    # the kernel's real path; eigh's columns could carry phases.
     nonzero = rho != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    w, u = np.linalg.eigh(rho[np.ix_(support, support)])
+    block = rho[np.ix_(support, support)]
+    diagonal = np.count_nonzero(block) == np.count_nonzero(np.diag(block))
+    if diagonal:
+        w, u = np.diag(block).real, np.eye(support.size)
+    else:
+        w, u = np.linalg.eigh(block)
     _check_density(rho, w, 1e-6)
     entropy_in = _spectrum_entropy(w, base)
-    factor = np.zeros((rho.shape[0], support.size), dtype=complex)
+    factor = np.zeros((rho.shape[0], support.size), dtype=float if diagonal else complex)
     factor[support] = u * np.sqrt(np.clip(w, 0.0, None))
     points = grid.points.reshape(grid.points.shape[0], -1)
     n, modes = points.shape

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gaussmeter import fockoracle
 from gaussmeter.errors import (
@@ -115,6 +116,27 @@ class TestDisplacement:
             d2, np.kron(displacement(0.5, 10), displacement(-0.25j, 10)), atol=1e-13
         )
 
+    @pytest.mark.filterwarnings("ignore:displacement amplitude")
+    @pytest.mark.parametrize("dim", [16, 40])
+    def test_equals_truncated_exponential(self, dim):
+        # the exponential of the truncated generator, over the whole space,
+        # on amplitudes out to the noiseless validity radius in every quadrant
+        a = annihilation(dim)
+        radius = validity_radius(dim, 0.0)
+        for frac in (0.2, 0.6, 1.0):
+            for angle in (0.3, 2.0, -2.6, math.pi):
+                z = frac * radius * np.exp(1j * angle)
+                exact = scipy.linalg.expm(z * a.conj().T - np.conj(z) * a)
+                np.testing.assert_allclose(displacement(z, dim), exact, atol=1e-12)
+        z = (0.9 - 0.4j, -1.1j)
+        expected = np.kron(*(scipy.linalg.expm(w * a.conj().T - np.conj(w) * a) for w in z))
+        np.testing.assert_allclose(displacement(z, dim), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("z", [math.nan, complex(0.5, math.inf), [0.5, math.nan]])
+    def test_rejects_non_finite_amplitude(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            displacement(z, 8)
+
 
 class TestPovmDensity:
     def test_vacuum_outcome(self):
@@ -148,7 +170,18 @@ class TestPovmDensity:
         assert mass == pytest.approx(1.0, abs=1e-3)
 
 
+def test_povm_density_rejects_non_finite_amplitude():
+    with pytest.raises(ValueError, match="finite"):
+        povm_density(1.0, complex(math.nan, 0.0), 10)
+
+
 class TestPosteriorState:
+    @pytest.mark.parametrize("z", [math.nan, [0.1, math.inf]])
+    def test_rejects_non_finite_amplitude(self, z):
+        rho = thermal_state(0.1 * np.ones(np.size(z)), 10)
+        with pytest.raises(ValueError, match="finite"):
+            posterior_state(rho, 0.1, z)
+
     def test_pure_input_gives_pure_posteriors(self):
         rho = coherent_state(1.0, 40)
         for z in (0.0, 0.5 + 0.5j, -1.0j):
@@ -277,6 +310,37 @@ class TestErNumeric:
             post, p = posterior_state(rho, noise, z)
             expected -= w * p * von_neumann_entropy(post)
         assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_two_mode_thermal_matches_pointwise_posteriors(self, rng):
+        # the real-arithmetic path of a number-diagonal state, one outcome at
+        # a time
+        dim, noise = 10, (0.15, 0.3)
+        rho = thermal_state((0.2, 0.25), dim)
+        points = 0.4 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+        weights = rng.uniform(0.5, 1.5, size=6)
+        grid = OutcomeGrid(points=points, weights=weights, scheme="monte-carlo")
+        value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
+        expected = von_neumann_entropy(rho)
+        for z, w in zip(points, weights):
+            post, p = posterior_state(rho, noise, z)
+            expected -= w * p * von_neumann_entropy(post)
+        assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_diagonal_state_ignores_outcome_phases(self, rng):
+        # a number-diagonal state is phase invariant, so rotating each mode's
+        # outcomes by its own phase changes nothing
+        cases = [
+            (np.diag(np.pad(rng.dirichlet(np.ones(12)), (0, 28))), 1.0,
+             cartesian_grid(2.0, 0.5)),
+            (thermal_state((0.2, 0.3), 12), (0.15, 0.3),
+             monte_carlo_grid(np.diag([1.35, 1.6]), 12, seed=4)),
+        ]
+        for rho, noise, grid in cases:
+            value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
+            phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=grid.points.shape[1:]))
+            turned = OutcomeGrid(grid.points * phases, grid.weights, grid.scheme)
+            rotated, _ = er_numeric(rho, noise, turned, mass_tol=math.inf)
+            assert rotated == pytest.approx(value, abs=1e-12)
 
     def test_one_mode_matches_pointwise_posteriors(self, rng):
         # the Gram kernel against posterior_state taken one outcome at a time:
@@ -473,6 +537,17 @@ def test_outcome_grid_rejects_negative_weights():
             weights=np.array([-1.0]),
             scheme="cartesian-trapezoid",
         )
+
+
+@pytest.mark.parametrize("field", ["points", "weights", "coarse"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_outcome_grid_rejects_non_finite_entries(field, bad):
+    grid = cartesian_grid(1.0, 0.5)
+    values = {"points": grid.points.copy(), "weights": grid.weights.copy(),
+              "coarse": grid.coarse.copy()}
+    values[field][3] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        OutcomeGrid(scheme="cartesian-trapezoid", **values)
 
 
 def test_validate_density_rejects_non_finite():
