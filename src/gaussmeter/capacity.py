@@ -27,6 +27,8 @@ from .matfun import LogBase, as_hermitian, g_scalar, hermitian_function
 # The multimode ascent stops at a Frank-Wolfe gap (in the report's base) of
 # GAP_TOL.  Its line search takes a rise below VALUE_RTOL of the value from
 # the slopes: values that close carry too much roundoff to rank such steps.
+# Every trial step after the first is a Barzilai-Borwein step; INIT_STEP
+# seeds the first iteration only.
 GAP_TOL = 1e-10
 VALUE_RTOL = 1e-12
 MAX_ITER = 10_000
@@ -210,7 +212,7 @@ class _ShellObjective:
 
 
 def _ascend(obj: _ShellObjective, factor: np.ndarray):
-    """Projected gradient ascent on the shell from ``factor``.
+    """Projected gradient ascent on the shell from ``factor``, Barzilai-Borwein steps.
 
     Stops at a Frank-Wolfe gap of at most :data:`GAP_TOL`, when no step
     raises the value, or after :data:`MAX_ITER` gradients.  Returns
@@ -218,15 +220,27 @@ def _ascend(obj: _ShellObjective, factor: np.ndarray):
     """
     factor = obj.normalize(factor)
     value, grad = obj.evaluate(factor)
-    step = INIT_STEP
+    step, last = INIT_STEP, None
     for iteration in range(1, MAX_ITER + 1):
         direction, gap = obj.certify(factor, grad)
         gnorm = float(np.linalg.norm(direction))
         if gap <= GAP_TOL or iteration == MAX_ITER:
             break
+        if last is not None:
+            # Barzilai-Borwein step <dC, dC> / <dC, dd> of the last move; the
+            # last step stays where that move shows no positive curvature
+            moved, turned = factor - last[0], last[1] - direction
+            curvature = np.vdot(moved, turned).real
+            if curvature > 0.0:
+                step = np.vdot(moved, moved).real / curvature
         while step >= 1e-14:
             candidate = obj.normalize(factor + step * direction)
-            cand_value, cand_grad = obj.evaluate(candidate)
+            try:
+                cand_value, cand_grad = obj.evaluate(candidate)
+            except DivisionDegenerate:
+                # a singular Lambda has no finite gradient: reject the step
+                step *= 0.5
+                continue
             rise = cand_value - value
             if abs(rise) <= VALUE_RTOL * (1.0 + abs(value)):
                 # the values cannot resolve this rise; the exact slopes can
@@ -234,8 +248,8 @@ def _ascend(obj: _ShellObjective, factor: np.ndarray):
                 rise = 0.5 * step * (gnorm * gnorm
                                      + obj.slope(candidate, cand_grad, direction))
             if rise > 1e-4 * step * gnorm * gnorm:
+                last = (factor, direction)
                 factor, value, grad = candidate, cand_value, cand_grad
-                step = min(step * 2.0, 1e3)
                 break
             step *= 0.5
         else:

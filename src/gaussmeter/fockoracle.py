@@ -44,7 +44,9 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     GridMassDeficit,
+    InvalidRange,
     NegligibleOutcome,
+    NotPositiveDefinite,
     TruncationTooSmall,
 )
 from .matfun import LogBase
@@ -282,6 +284,18 @@ def _mode_dimension(rho: np.ndarray, modes: int) -> int:
     return dim
 
 
+def _mode_occupations(noise, modes: int) -> np.ndarray:
+    """One noise occupation per mode, from one for every mode or one per mode."""
+    occupations = np.atleast_1d(np.asarray(noise, dtype=float))
+    if occupations.size == 1:
+        return np.repeat(occupations, modes)
+    if occupations.size != modes:
+        raise DimensionMismatch(
+            f"{occupations.size} noise occupations, expected 1 or {modes}"
+        )
+    return occupations
+
+
 def _sqrt_thermal(noise, dim: int, tail_tol: float) -> np.ndarray:
     """Diagonal of the square root of a (product) thermal state."""
     means = np.atleast_1d(np.asarray(noise, dtype=float))
@@ -302,14 +316,19 @@ def posterior_state(
 
     Returns the unit-trace operator
     ``sqrt(rho_noise) D(z)^dag rho D(z) sqrt(rho_noise) / p`` together with
-    the density value ``p`` (against ``d^{2s}z / pi^s``).
+    the density value ``p`` (against ``d^{2s}z / pi^s``).  ``noise`` is one
+    occupation for every mode, or one per mode.
 
     Raises:
         ValueError: when ``rho`` or ``z`` is not finite.
+        DimensionMismatch: when the state's dimension is not a power of the
+            mode count of ``z``, or ``noise`` has neither 1 nor ``s`` entries.
         NegligibleOutcome: when ``p`` falls below ``p_min``.
     """
     rho = _as_density(rho)
-    dim = _mode_dimension(rho, np.atleast_1d(np.asarray(z)).size)
+    modes = np.atleast_1d(np.asarray(z)).size
+    dim = _mode_dimension(rho, modes)
+    noise = _mode_occupations(noise, modes)
     d_op = displacement(z, dim)
     root = np.diag(_sqrt_thermal(noise, dim, tail_tol))
     raw = root @ d_op.conj().T @ rho @ d_op @ root
@@ -397,9 +416,14 @@ def cartesian_grid(radius: float, step: float) -> OutcomeGrid:
 
     The point count per axis is odd, so every other point forms a
     half-resolution subgrid; its trapezoid weights are the companion rule.
+
+    Raises:
+        InvalidRange: when ``radius`` or ``step`` is not positive and finite.
     """
-    if radius <= 0.0 or step <= 0.0:
-        raise ValueError("radius and step must be positive")
+    if not (0.0 < radius < math.inf and 0.0 < step < math.inf):
+        raise InvalidRange(
+            f"radius and step must be positive and finite, got {radius}, {step}"
+        )
     half = max(1, math.ceil(radius / step))
     axis = np.linspace(-half * step, half * step, 2 * half + 1)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
@@ -413,6 +437,18 @@ def cartesian_grid(radius: float, step: float) -> OutcomeGrid:
     )
 
 
+@lru_cache(maxsize=4)
+def _hermite_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Physicists' Gauss-Hermite nodes ``u`` and weights times ``exp(u^2)``.
+
+    Both arrays are read-only: every call with ``nodes`` shares them.
+    """
+    u, w = np.polynomial.hermite.hermgauss(nodes)
+    w1 = w * np.exp(u * u)
+    u.flags.writeable = w1.flags.writeable = False
+    return u, w1
+
+
 def _hermite_rule(nodes: int, variance: float) -> tuple[np.ndarray, np.ndarray]:
     """``nodes x nodes`` Gauss-Hermite rule for densities near ``exp(-|z|^2/S)/S``.
 
@@ -421,9 +457,8 @@ def _hermite_rule(nodes: int, variance: float) -> tuple[np.ndarray, np.ndarray]:
     density itself against ``d^2z / pi``.  It is exact for that Gaussian
     times any polynomial of degree below ``2 nodes`` per axis.
     """
-    u, w = np.polynomial.hermite.hermgauss(nodes)
+    u, w1 = _hermite_nodes(nodes)
     axis = math.sqrt(variance) * u
-    w1 = w * np.exp(u * u)
     points = axis[:, None] + 1j * axis[None, :]
     return points.ravel(), (variance / math.pi * np.outer(w1, w1)).ravel()
 
@@ -460,13 +495,21 @@ def monte_carlo_grid(
     density ``exp(-z* S^-1 z)/det S`` against ``d^4 z / pi^2``; weights are
     the reciprocal proposal density over the sample count, so weighted sums
     estimate integrals against the outcome measure.
+
+    Raises:
+        DimensionMismatch: when the covariance is not 2x2.
+        NotPositiveDefinite: when it is not finite and positive definite.
     """
     sigma = np.asarray(output_covariance, dtype=complex)
     if sigma.shape != (2, 2):
         raise DimensionMismatch("two-mode sampling expects a 2x2 covariance")
-    rng = np.random.default_rng(seed)
     w, u = np.linalg.eigh(sigma)
-    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    if not w.min() > 0.0:  # also false for a NaN spectrum
+        raise NotPositiveDefinite(
+            f"proposal covariance must be positive definite, spectrum {w}"
+        )
+    rng = np.random.default_rng(seed)
+    root = (u * np.sqrt(w)) @ u.conj().T
     zeta = (
         rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
     ) / math.sqrt(2.0)
@@ -618,13 +661,7 @@ def er_numeric(
     points = grid.points.reshape(grid.points.shape[0], -1)
     n, modes = points.shape
     dim = _mode_dimension(rho, modes)
-    noise_arr = np.atleast_1d(np.asarray(noise, dtype=float))
-    if noise_arr.size == 1:
-        noise_arr = np.repeat(noise_arr, modes)
-    elif noise_arr.size != modes:
-        raise DimensionMismatch(
-            f"{noise_arr.size} noise occupations for a {modes}-mode grid"
-        )
+    noise_arr = _mode_occupations(noise, modes)
 
     r_valid = min(validity_radius(dim, nbar) for nbar in noise_arr)
     idx = np.nonzero(np.abs(points).max(axis=1) <= r_valid)[0]

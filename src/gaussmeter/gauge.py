@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
+from .errors import (
+    DimensionMismatch,
+    DivisionDegenerate,
+    NegativeEigenvalue,
+    NotHermitian,
+)
 from .matfun import (
     EIG_CLIP,
     LogBase,
@@ -159,16 +164,21 @@ def _entropy_reduction_gradient(
     so ``dNtilde = R M^-1 dLambda M^-1 R`` and
     ``G = g'(Lambda) - K^dag g'(Ntilde) K`` with ``K = R M^-1`` and
     ``g'(x) = log(1 + 1/x)``.  Zero eigenvalues of ``Ntilde`` lie in the
-    kernel of ``N``, where ``R`` vanishes, so they contribute nothing;
-    a zero eigenvalue of ``Lambda`` makes ``G`` infinite.
+    kernel of ``N``, where ``R`` vanishes, so they contribute nothing.
+
+    Raises:
+        DivisionDegenerate: when an eigenvalue of ``Lambda`` is zero, or
+            below zero by roundoff, where ``G`` is infinite.
     """
     post = posterior_params(state, meas)
     w_lam, u_lam = np.linalg.eigh(state.correlation)
+    if not w_lam.min() > 0.0:
+        raise DivisionDegenerate(
+            "Lambda is singular: the gradient is infinite on its kernel")
     w_til, u_til = np.linalg.eigh(post.correlation)
-    w_lam, w_til = np.clip(w_lam, 0.0, None), np.clip(w_til, 0.0, None)
+    w_til = np.clip(w_til, 0.0, None)
     value = (_g_nats(w_lam).sum() - _g_nats(w_til).sum()) / base.ln_base
-    d_lam = np.log1p(np.divide(1.0, w_lam, out=np.full_like(w_lam, np.inf),
-                               where=w_lam > 0.0))
+    d_lam = np.log1p(1.0 / w_lam)
     d_til = np.log1p(np.divide(1.0, w_til, out=np.zeros_like(w_til),
                                where=w_til > EIG_CLIP))
     left = post.gain.conj().T @ u_til

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from gaussmeter import capacity
 from gaussmeter.capacity import (
@@ -250,6 +250,33 @@ class TestCertificate:
         assert report.converged
         assert exact - report.assisted <= report.gap + VALUE_ROUNDOFF
         assert abs(exact - report.assisted) <= capacity.GAP_TOL + VALUE_ROUNDOFF
+
+    @pytest.mark.parametrize("noise, eps", [
+        (np.zeros((2, 2)), np.diag([1.0, 3.0])),
+        (np.eye(2), np.array([[1.0, 0.4], [0.4, 2.0]])),
+        (np.diag([0.0, 1.0]), np.array([[1.0, 0.4], [0.4, 2.0]])),
+    ], ids=["heterodyne", "unit-noise", "singular-noise"])
+    def test_large_budget_converges_in_few_iterations(self, noise, eps):
+        report = cea_multimode(GaugeMeasurement(noise), EnergyConstraint(eps, 1e6))
+        assert report.gap <= capacity.GAP_TOL
+        assert report.iterations < 100
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_trial_steps_are_rejected(self):
+        # heterodyne detection at a small budget: some trial steps land on a
+        # singular Lambda, whose gradient is infinite
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        eps = b @ b.conj().T / 3.0 + 0.5 * np.eye(3)
+        budget = 0.01
+        report = cea_multimode(GaugeMeasurement(np.zeros((3, 3))),
+                               EnergyConstraint(eps, budget))
+        assert report.converged
+        # N = 0: the optimum fills eps's eigenmodes with 1 / (exp(mu e) - 1)
+        e = np.linalg.eigvalsh(eps)
+        mu = brentq(lambda m: np.sum(e / np.expm1(m * e)) - budget, 1e-3, 20.0)
+        exact = sum(g_scalar(1.0 / math.expm1(mu * x)) for x in e)
+        assert abs(exact - report.assisted) <= report.gap + VALUE_ROUNDOFF
 
     def test_capped_run_is_not_converged(self, monkeypatch):
         monkeypatch.setattr(capacity, "MAX_ITER", 2)

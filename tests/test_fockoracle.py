@@ -10,7 +10,9 @@ from gaussmeter import fockoracle
 from gaussmeter.errors import (
     DimensionMismatch,
     GridMassDeficit,
+    InvalidRange,
     NegligibleOutcome,
+    NotPositiveDefinite,
     TruncationTooSmall,
 )
 from gaussmeter.fockoracle import (
@@ -182,6 +184,16 @@ class TestPosteriorState:
         with pytest.raises(ValueError, match="finite"):
             posterior_state(rho, 0.1, z)
 
+    def test_noise_count_must_match_modes(self):
+        with pytest.raises(DimensionMismatch):
+            posterior_state(thermal_state(0.2, 8), [0.01, 0.01], 0.3)
+        # one occupation serves every mode, as in er_numeric
+        rho = thermal_state([0.2, 0.2], 10)
+        post, p = posterior_state(rho, 0.1, [0.3, 0.1j])
+        post2, p2 = posterior_state(rho, [0.1, 0.1], [0.3, 0.1j])
+        assert p == p2
+        np.testing.assert_array_equal(post, post2)
+
     def test_pure_input_gives_pure_posteriors(self):
         rho = coherent_state(1.0, 40)
         for z in (0.0, 0.5 + 0.5j, -1.0j):
@@ -229,6 +241,46 @@ class TestOutcomeRules:
             assert np.sum(weights * density) == pytest.approx(1.0, abs=1e-12)
             second = np.sum(weights * density * np.abs(grid.points) ** 2)
             assert second == pytest.approx(sigma, abs=1e-12)
+
+    def test_default_grid_reuses_hermite_nodes(self, monkeypatch):
+        default_grid(1.0, 1.0)
+        hermgauss = np.polynomial.hermite.hermgauss
+        calls = []
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                            lambda n: calls.append(n) or hermgauss(n))
+        first = default_grid(1.0, 1.0)
+        first.points[:], first.weights[:] = 0.0, 0.0
+        grid = default_grid(0.5, 2.0)
+        assert calls == []
+        u, _ = fockoracle._hermite_nodes(fockoracle.HERMITE_NODES)
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        # bit-identical to the rule built from fresh nodes
+        variance = 3.5
+        for nodes, weights in ((fockoracle.HERMITE_NODES, grid.weights),
+                               (fockoracle.HERMITE_COMPANION_NODES, grid.coarse)):
+            u, w = hermgauss(nodes)
+            axis = math.sqrt(variance) * u
+            w1 = w * np.exp(u * u)
+            points = (axis[:, None] + 1j * axis[None, :]).ravel()
+            mask = weights != 0.0
+            np.testing.assert_array_equal(grid.points[mask], points)
+            np.testing.assert_array_equal(
+                weights[mask], (variance / math.pi * np.outer(w1, w1)).ravel())
+
+    @pytest.mark.parametrize("radius, step", [
+        (math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan),
+        (0.0, 0.5), (1.0, -0.5)])
+    def test_cartesian_grid_rejects_invalid_spacing(self, radius, step):
+        with pytest.raises(InvalidRange):
+            cartesian_grid(radius, step)
+
+    @pytest.mark.parametrize("sigma", [
+        np.zeros((2, 2)), np.diag([1.0, -1.0]), np.full((2, 2), math.nan)],
+        ids=["zero", "indefinite", "nan"])
+    def test_monte_carlo_grid_rejects_non_positive_definite(self, sigma):
+        with pytest.raises(NotPositiveDefinite):
+            monte_carlo_grid(sigma, 4, seed=1)
 
     def test_cartesian_estimate_is_half_resolution_difference(self):
         # the estimate against the trapezoid rule of the every-other subgrid,

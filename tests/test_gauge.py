@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_psd, random_unitary
-from gaussmeter.errors import DimensionMismatch, NegativeEigenvalue
+from gaussmeter.errors import DimensionMismatch, DivisionDegenerate, NegativeEigenvalue
 from gaussmeter.gauge import (
     GaugeMeasurement,
     GaugeState,
@@ -181,6 +181,13 @@ class TestEntropyReductionGradient:
         )
         np.testing.assert_allclose(grad, np.diag(np.log1p(1.0 / np.diag(lam).real)),
                                    atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_state_raises_typed_error(self):
+        # g'(0) is infinite, so G has no finite value on the kernel of Lambda
+        state = GaugeState(np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(DivisionDegenerate):
+            _entropy_reduction_gradient(state, GaugeMeasurement(np.eye(2)), LogBase.BITS)
 
 
 class TestSqrtGaussian:
