@@ -6,23 +6,27 @@ exponential of the truncated generator, as a phase rotation of a real
 displacement along the real axis), the measurement's operator density,
 posterior states, moment extraction, phase averaging, and direct numerical
 evaluation of the entropy-reduction integral.  One batched kernel integrates
-any number of modes.  It factors the state once per call as
-``rho = W W^dag`` on its support (the ``r`` number states with a nonzero row
-or column; ``W`` is ``D x r``, ``D`` the state dimension), and for each
-outcome forms ``B = sqrt(rho_noise) D(z)^dag W``.  Per mode, with
-``z = r e^{i phi}``, ``D(z)^dag`` is the number phase ``e^{-i phi n}``
-followed by ``D(r)^dag`` in the eigenbasis of ``i(a^dag - a)``, so no
-``D x D`` operator is built; the posterior's nonzero spectrum is that of the
-``r x r`` Gram matrix ``B^dag B`` over its trace.  For a number-diagonal
-state the phase drops out, ``B`` is real, and the Gram matrix and its
-spectrum are taken in real arithmetic.  The quadrature rule
-is the grid's: for one mode a Gauss-Hermite tensor rule scaled to the
-outcome distribution, or a Cartesian trapezoid grid, each with a coarser
-companion rule whose difference is the error estimate; for two modes
-seeded importance-sampling Monte Carlo, with its standard error.  Chunks
-of outcomes run on ``GAUSSMETER_THREADS`` worker threads (default 1); each
-writes only its own outcomes, and the chunks in flight together hold at most
-``CHUNK_ENTRIES`` entries of ``B`` (one outcome per worker at the least).
+any number of modes.  It restricts the state to its support (the ``r``
+number states with a nonzero row or column; ``D`` is the state dimension),
+and the posterior's nonzero spectrum at each outcome is that of an
+``r x r`` Gram matrix over its trace.  Per mode, with ``z = r e^{i phi}``,
+``D(z)^dag`` is the number phase ``e^{-i phi n}`` followed by ``D(r)^dag`` in
+the eigenbasis of ``i(a^dag - a)``, so no ``D x D`` operator is built.  The
+Gram matrix is built one of two ways.  A general state is factored once per
+call as ``rho = W W^dag`` (``W`` is ``D x r``), and the Gram matrix is
+``B^dag B`` for ``B = sqrt(rho_noise) D(z)^dag W``.  A number-diagonal state
+``diag(a^2)`` drops every phase, and its Gram matrix is ``(a a^T)`` times,
+entry by entry, a tensor product of real per-mode blocks ``X_k^T X_k`` with
+``X_k = sqrt(rho_noise,k) D(|z_k|)^dag`` on the levels the support uses;
+no ``B`` is built and the spectrum is taken in real arithmetic.  The
+quadrature rule is the grid's: for one mode a Gauss-Hermite tensor rule
+scaled to the outcome distribution, or a Cartesian trapezoid grid, each with
+a coarser companion rule whose difference is the error estimate; for two
+modes seeded importance-sampling Monte Carlo, with its standard error.
+Chunks of outcomes run on ``GAUSSMETER_THREADS`` worker threads (default 1);
+each writes only its own outcomes, and the chunks in flight together hold at
+most ``CHUNK_ENTRIES`` entries of the larger per-outcome stack (one outcome
+per worker at the least).
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -64,9 +68,11 @@ ENTROPY_FLOOR = 1e-14
 # Default bound on the unrepresented tail of a truncated thermal state.
 TAIL_TOL = 1e-6
 
-# Complex entries of the ``B`` factors in flight across all workers: 256
-# full-width one-mode factors at dim 40.  Bounds the kernel's working memory
-# at any mode count, support size and worker count.
+# Entries in flight across all workers of the larger per-outcome stack: ``B``
+# (``D r`` per outcome) for a general state, the Gram matrix (``r^2``) or a
+# mode's ``X_k`` (``dim u_k``) for a number-diagonal one.  256 full-width
+# one-mode outcomes at dim 40.  Bounds the kernel's working memory at any mode
+# count, support size and worker count.
 CHUNK_ENTRIES = 256 * 40 * 40
 
 # Gauss-Hermite nodes per axis of the default one-mode rule and of its
@@ -94,6 +100,11 @@ def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
+def _check_levels(dim: int) -> None:
+    if dim < 2:
+        raise DimensionMismatch(f"truncation must keep at least 2 levels, got {dim}")
+
+
 def validity_radius(dim: int, noise: float) -> float:
     """Largest outcome amplitude representable faithfully at this truncation.
 
@@ -102,7 +113,12 @@ def validity_radius(dim: int, noise: float) -> float:
     the radius solves for the displacement that keeps one spread inside the
     retained space.  Beyond it the truncated operators fold back and the
     numeric outcome density becomes unreliable.
+
+    Raises:
+        DimensionMismatch: when ``dim`` keeps fewer than 2 levels.
+        ValueError: when ``noise`` is negative or not finite.
     """
+    _check_levels(dim)
     nbar = float(noise)
     if not 0.0 <= nbar < math.inf:
         raise ValueError(f"mean occupation must be finite and nonnegative, got {nbar}")
@@ -122,8 +138,7 @@ def validity_radius(dim: int, noise: float) -> float:
 
 
 def _thermal_diagonal(mean_number: float, dim: int, tail_tol: float) -> np.ndarray:
-    if dim < 2:
-        raise DimensionMismatch(f"truncation must keep at least 2 levels, got {dim}")
+    _check_levels(dim)
     if not 0.0 <= mean_number < math.inf:
         raise ValueError(
             f"mean occupation must be finite and nonnegative, got {mean_number}"
@@ -497,9 +512,15 @@ def monte_carlo_grid(
     estimate integrals against the outcome measure.
 
     Raises:
+        ValueError: when ``n_samples`` is not a positive integer.
         DimensionMismatch: when the covariance is not 2x2.
         NotPositiveDefinite: when it is not finite and positive definite.
     """
+    integer = isinstance(n_samples, (int, np.integer)) and not isinstance(n_samples, bool)
+    if not integer or n_samples < 1:
+        raise ValueError(
+            f"Monte Carlo sampling needs at least one point, got {n_samples!r}"
+        )
     sigma = np.asarray(output_covariance, dtype=complex)
     if sigma.shape != (2, 2):
         raise DimensionMismatch("two-mode sampling expects a 2x2 covariance")
@@ -524,6 +545,7 @@ def monte_carlo_grid(
 
 
 def _er_outcome_terms(
+    support: np.ndarray,
     factor: np.ndarray,
     dim: int,
     noise: np.ndarray,
@@ -534,55 +556,94 @@ def _er_outcome_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point density ``p`` and ``p H(posterior)`` for an ``s``-mode state.
 
-    ``points`` has shape ``(n, s)`` and ``noise`` one occupation per mode.
-    With ``rho = W W^dag`` (``factor`` is ``W``, ``dim`` its truncation per
-    mode) the unnormalized posterior is ``B B^dag`` for
-    ``B = sqrt(rho_noise) D(z)^dag W``, whose nonzero spectrum is that of the
-    ``r x r`` Gram matrix ``B^dag B``: ``r = 12`` for a rank-12 state padded
-    with zeros to ``dim = 40``, ``r = D`` for a thermal state.  Per mode,
-    ``D(z)^dag = U_phi V e^{i r theta} V^dag U_phi^dag``; the left ``U_phi``
-    commutes with the diagonal noise root and drops out of ``B^dag B``.  A
-    real ``factor`` marks a number-diagonal state: then ``U_phi^dag W`` is
-    ``W`` times a unitary on the right, which drops out too, so ``V^dag`` is
-    applied once for all points and ``B`` is real up to roundoff, and its Gram
-    matrix and spectrum are taken in real arithmetic.
+    ``points`` has shape ``(n, s)``, ``noise`` one occupation per mode and
+    ``dim`` is the truncation per mode.  The state lives on the ``r`` number
+    states ``S = support`` (flat indices into ``D = dim^s``); the unnormalized
+    posterior ``sqrt(rho_noise) D(z)^dag rho D(z) sqrt(rho_noise)`` has the
+    nonzero spectrum of an ``r x r`` Gram matrix ``G``, built one of two ways.
+    Per mode, with ``z = |z| e^{i phi}``, ``D(z)^dag =
+    U_phi V e^{i |z| theta} V^dag U_phi^dag``, and the left ``U_phi`` commutes
+    with the diagonal noise root and drops out of ``G``.
+
+    * ``factor`` 2-D, a general state: the ``r x r`` factor of
+      ``rho[S, S] = W W^dag``.  With ``W`` padded to ``D x r``,
+      ``G = B^dag B`` for ``B = sqrt(rho_noise) D(z)^dag W``, applied one
+      mode at a time.
+    * ``factor`` 1-D, a number-diagonal state: the amplitudes ``a`` of
+      ``rho[S, S] = diag(a^2)``, zeros allowed.  ``U_phi^dag`` then acts on
+      ``W = diag(a)`` as a unitary on the right and drops out too, so
+      ``G = (a a^T) o P[S, S]`` (``o`` entry by entry) with
+      ``P = (x)_k X_k^T X_k`` and the real ``X_k = sqrt(rho_noise,k)
+      D(|z_k|)^dag``.  Only the ``u_k`` levels of mode ``k`` that ``S`` uses
+      are needed, so ``X_k`` is ``dim x u_k``, one complex GEMM per mode and
+      chunk, and ``G`` is gathered from the ``u_k x u_k`` blocks by a flat
+      index.  No ``B`` is built; ``eigvalsh`` is the only cubic work.
+
+    Chunks in flight hold at most ``CHUNK_ENTRIES`` entries of the larger
+    per-outcome stack: ``D r`` for ``B``; ``r^2`` for ``G`` or ``dim u_k``
+    for ``X_k``.
     """
     n, modes = points.shape
-    rank = factor.shape[1]
+    rank = support.size
     theta, v = _displacement_basis(dim)
-    diagonal = not np.iscomplexobj(factor)
-    if diagonal:
-        # V^dag on every mode's axis, once for all points
-        for k in range(modes):
-            factor = (v.conj().T @ factor.reshape(dim**k, dim, -1)).reshape(-1, rank)
-    number = np.arange(dim)
     roots = [np.sqrt(_thermal_diagonal(nbar, dim, tail_tol))[:, None] * v
              for nbar in noise]
+    diagonal = factor.ndim == 1
+    if diagonal:
+        # per mode: the support's levels, and G's flat index into X_k^T X_k
+        levels = np.unravel_index(support, (dim,) * modes)
+        blocks = []
+        for level in levels:
+            used, pos = np.unique(level, return_inverse=True)
+            flat = (pos[:, None] * used.size + pos[None, :]).ravel()
+            blocks.append((v.conj().T[:, used], flat))
+        amplitudes = np.outer(factor, factor).ravel()
+        per_outcome = max(rank * rank, dim * max(b.shape[1] for b, _ in blocks))
+    else:
+        padded = np.zeros((dim**modes, rank), dtype=complex)
+        padded[support] = factor
+        per_outcome = padded.size
     workers = thread_cap()
-    chunk = max(1, CHUNK_ENTRIES // (factor.size * workers))
+    chunk = max(1, CHUNK_ENTRIES // (per_outcome * workers))
     density = np.zeros(n)
     density_entropy = np.zeros(n)
+
+    def diagonal_gram(zs: np.ndarray) -> np.ndarray:
+        m = zs.shape[0]
+        gram = amplitudes
+        for root, (vd, flat), amps in zip(roots, blocks, zs.T):
+            # x: the real X_k of every point, as (point, level, dim).  Each
+            # stack is dropped as soon as the next exists: with all of them
+            # alive to the end, glibc gave the memory back after every call
+            # and a serial dim-40 thermal call faulted 3x as often, 20 % slower
+            x = vd[:, None, :] * np.exp(1j * np.outer(theta, np.abs(amps)))[:, :, None]
+            x = (root @ x.reshape(dim, -1)).real.reshape(dim, m, -1).transpose(1, 2, 0)
+            block = np.take((x @ x.transpose(0, 2, 1)).reshape(m, -1), flat, axis=1)
+            block *= gram
+            gram = block
+        return gram.reshape(m, rank, rank)
+
+    def general_gram(zs: np.ndarray) -> np.ndarray:
+        m = zs.shape[0]
+        # axes (mode axes..., point, rank): each mode's axis leads while its
+        # factor is applied, then moves behind the other mode axes
+        b = np.broadcast_to(padded[:, None, :], (padded.shape[0], m, rank))
+        for root, amps in zip(roots, zs.T):
+            b = b.reshape(dim, -1, m, rank)
+            phase = np.exp(-1j * np.outer(np.arange(dim), np.angle(amps)))
+            b = b * phase[:, None, :, None]
+            b = (v.conj().T @ b.reshape(dim, -1)).reshape(b.shape)
+            b = b * np.exp(1j * np.outer(theta, np.abs(amps)))[:, None, :, None]
+            b = np.moveaxis((root @ b.reshape(dim, -1)).reshape(b.shape), 0, 1)
+        b = b.reshape(-1, m, rank).transpose(1, 0, 2)
+        return np.swapaxes(b.conj(), 1, 2) @ b
+
+    gram_stack = diagonal_gram if diagonal else general_gram
 
     def integrate(starts) -> None:
         """Fill the disjoint slices of the outputs at ``starts``, chunk by chunk."""
         for start in starts:
-            zs = points[start : start + chunk]
-            m = zs.shape[0]
-            # axes (mode axes..., point, rank): each mode's axis leads while its
-            # factor is applied, then moves behind the other mode axes
-            b = np.broadcast_to(factor[:, None, :], (factor.shape[0], m, rank))
-            for root, amps in zip(roots, zs.T):
-                b = b.reshape(dim, -1, m, rank)
-                if not diagonal:
-                    phase = np.exp(-1j * np.outer(number, np.angle(amps)))
-                    b = b * phase[:, None, :, None]
-                    b = (v.conj().T @ b.reshape(dim, -1)).reshape(b.shape)
-                b = b * np.exp(1j * np.outer(theta, np.abs(amps)))[:, None, :, None]
-                b = np.moveaxis((root @ b.reshape(dim, -1)).reshape(b.shape), 0, 1)
-            b = b.reshape(-1, m, rank).transpose(1, 0, 2)
-            if diagonal:
-                b = b.real
-            gram = np.swapaxes(b.conj(), 1, 2) @ b
+            gram = gram_stack(points[start : start + chunk])
             ps = np.einsum("kii->k", gram).real
             keep = ps >= p_min
             if not np.any(keep):
@@ -644,20 +705,21 @@ def er_numeric(
     # rho is zero off its support (states with a nonzero row or column), so one
     # eigh of that block gives its nonzero spectrum and W, rho = W W^dag.  Every
     # eigenpair is kept: a spectral floor would tie the cost to a state's tail.
-    # A number-diagonal state takes the real W = sqrt(rho) instead, which gates
-    # the kernel's real path; eigh's columns could carry phases.
+    # A number-diagonal state skips eigh and hands the kernel its amplitudes
+    # sqrt(diag rho), which selects the kernel's Gram builder without B.
     nonzero = rho != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     block = rho[np.ix_(support, support)]
     diagonal = np.count_nonzero(block) == np.count_nonzero(np.diag(block))
     if diagonal:
-        w, u = np.diag(block).real, np.eye(support.size)
+        w = np.diag(block).real
     else:
         w, u = np.linalg.eigh(block)
     _check_density(rho, w, 1e-6)
     entropy_in = _spectrum_entropy(w, base)
-    factor = np.zeros((rho.shape[0], support.size), dtype=float if diagonal else complex)
-    factor[support] = u * np.sqrt(np.clip(w, 0.0, None))
+    factor = np.sqrt(np.clip(w, 0.0, None))
+    if not diagonal:
+        factor = u * factor
     points = grid.points.reshape(grid.points.shape[0], -1)
     n, modes = points.shape
     dim = _mode_dimension(rho, modes)
@@ -668,7 +730,7 @@ def er_numeric(
     density = np.zeros(n)
     density_entropy = np.zeros(n)
     density[idx], density_entropy[idx] = _er_outcome_terms(
-        factor, dim, noise_arr, points[idx], base, p_min, tail_tol
+        support, factor, dim, noise_arr, points[idx], base, p_min, tail_tol
     )
     total_mass = float(np.sum(grid.weights * density))
     if abs(total_mass - 1.0) > mass_tol:

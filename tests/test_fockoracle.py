@@ -40,6 +40,20 @@ from gaussmeter.verify import random_low_energy_state
 ER_UNIT = 0.9182958340544896
 
 
+def sparse_diagonal_state(rng, dim, levels):
+    """Number-diagonal two-mode state whose support is no grid of levels.
+
+    The diagonal of a mixture of two products of random states on the lowest
+    ``levels`` number states per mode, with mode 0's level 1 emptied, so the
+    modes use different level counts and mode 0's levels skip one.
+    """
+    mix = sum(np.kron(random_low_energy_state(rng, a, dim),
+                      random_low_energy_state(rng, b, dim)) for a, b in levels)
+    probs = np.diag(mix).real.reshape(dim, dim).copy()
+    probs[1] = 0.0
+    return np.diag(probs.ravel() / probs.sum()).astype(complex)
+
+
 def coherent_state(amplitude, dim):
     d_op = displacement(amplitude, dim)
     rho = np.zeros((dim, dim), dtype=complex)
@@ -364,19 +378,32 @@ class TestErNumeric:
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_two_mode_thermal_matches_pointwise_posteriors(self, rng):
-        # the real-arithmetic path of a number-diagonal state, one outcome at
-        # a time
-        dim, noise = 10, (0.15, 0.3)
-        rho = thermal_state((0.2, 0.25), dim)
-        points = 0.4 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
-        weights = rng.uniform(0.5, 1.5, size=6)
-        grid = OutcomeGrid(points=points, weights=weights, scheme="monte-carlo")
-        value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
-        expected = von_neumann_entropy(rho)
-        for z, w in zip(points, weights):
-            post, p = posterior_state(rho, noise, z)
-            expected -= w * p * von_neumann_entropy(post)
-        assert value == pytest.approx(expected, abs=1e-12)
+        # the Gram builder of number-diagonal states, one outcome at a time:
+        # a product thermal state; a non-product state whose support is no
+        # level grid (a swapped mode or a wrong gather index shows here); three
+        # modes; one mode with a roundoff-negative entry, a zero amplitude
+        probs = np.pad(rng.dirichlet(np.ones(8)), (0, 12))
+        probs[3] = 0.0
+        negative = np.diag(probs / probs.sum())
+        negative[3, 3] = -1e-13
+        cases = [
+            (thermal_state((0.2, 0.25), 10), (0.15, 0.3)),
+            (sparse_diagonal_state(rng, 10, ((5, 3), (2, 6))), (0.15, 0.3)),
+            (thermal_state((0.1, 0.15, 0.05), 7), (0.15, 0.1, 0.12)),
+            (negative, 0.3),
+        ]
+        for rho, noise in cases:
+            modes = np.size(noise)
+            shape = (6, modes) if modes > 1 else (6,)
+            points = 0.4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            weights = rng.uniform(0.5, 1.5, size=6)
+            grid = OutcomeGrid(points=points, weights=weights, scheme="monte-carlo")
+            value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
+            expected = von_neumann_entropy(rho)
+            for z, w in zip(points, weights):
+                post, p = posterior_state(rho, noise, z)
+                expected -= w * p * von_neumann_entropy(post)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     def test_diagonal_state_ignores_outcome_phases(self, rng):
         # a number-diagonal state is phase invariant, so rotating each mode's
@@ -438,11 +465,12 @@ class TestWorkerThreads:
     """The chunk loop gives bit-identical results on one worker and on several."""
 
     @staticmethod
-    def run(monkeypatch, threads, rho, noise, grid, switch=None):
+    def run(monkeypatch, threads, rho, noise, grid, switch=None, **options):
         """``er_numeric`` on ``threads`` workers, and the pool sizes it started.
 
         ``switch`` (seconds), when given, is the interpreter's switch interval
-        for the call; a short one interleaves the workers' writes.
+        for the call; a short one interleaves the workers' writes.  ``options``
+        go to ``er_numeric``.
         """
         pools = []
 
@@ -456,7 +484,7 @@ class TestWorkerThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(switch or interval)
         try:
-            return er_numeric(rho, noise, grid), pools
+            return er_numeric(rho, noise, grid, **options), pools
         finally:
             sys.setswitchinterval(interval)
 
@@ -466,6 +494,18 @@ class TestWorkerThreads:
         grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
         serial, no_pool = self.run(monkeypatch, 1, rho, (0.1, 0.3), grid)
         pooled, pools = self.run(monkeypatch, 2, rho, (0.1, 0.3), grid)
+        assert no_pool == [] and pools == [2]
+        assert pooled == serial
+
+    def test_two_mode_non_product_diagonal(self, monkeypatch, rng):
+        # the Gram builder of number-diagonal states on a support that is no
+        # level grid (130 of 256 states): 12 outcomes per chunk on two workers
+        rho = sparse_diagonal_state(rng, 16, ((12, 10), (6, 14)))
+        grid = monte_carlo_grid(np.diag([1.7, 1.9]), 48, seed=5)
+        serial, no_pool = self.run(monkeypatch, 1, rho, (0.1, 0.3), grid,
+                                   mass_tol=math.inf)
+        pooled, pools = self.run(monkeypatch, 2, rho, (0.1, 0.3), grid,
+                                 mass_tol=math.inf)
         assert no_pool == [] and pools == [2]
         assert pooled == serial
 
@@ -615,6 +655,18 @@ def test_outcome_grid_rejects_empty_point_set():
                     scheme="cartesian-trapezoid")
     with pytest.raises(ValueError, match="at least one point"):
         monte_carlo_grid(np.eye(2), 0, seed=1)
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, "4", True])
+def test_monte_carlo_grid_rejects_bad_sample_count(count):
+    with pytest.raises(ValueError, match="at least one point"):
+        monte_carlo_grid(np.eye(2), count, seed=1)
+
+
+@pytest.mark.parametrize("dim", [-3, 0, 1])
+def test_validity_radius_rejects_fewer_than_two_levels(dim):
+    with pytest.raises(DimensionMismatch, match="at least 2 levels"):
+        validity_radius(dim, 0.5)
 
 
 @pytest.mark.parametrize("lam, noise", [(-5.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
