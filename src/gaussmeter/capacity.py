@@ -82,31 +82,44 @@ class CapacityReport:
     gap: float = 0.0
 
 
-def _check_scalar_args(energy: float, noise: float):
-    if not 0.0 < energy < math.inf:
-        raise InvalidRange(f"energy must be positive and finite, got {energy}")
-    if not 0.0 <= noise < math.inf:
-        raise InvalidRange(f"noise must be finite and nonnegative, got {noise}")
+def _check_scalar_args(energy, noise) -> tuple[np.ndarray, np.ndarray]:
+    """``energy`` and ``noise`` as float arrays, once every entry is in range."""
+    energy, noise = np.asarray(energy, dtype=float), np.asarray(noise, dtype=float)
+    bad = ~((0.0 < energy) & (energy < math.inf))
+    if bad.any():
+        raise InvalidRange(f"energy must be positive and finite, got {energy[bad][0]}")
+    bad = ~((0.0 <= noise) & (noise < math.inf))
+    if bad.any():
+        raise InvalidRange(f"noise must be finite and nonnegative, got {noise[bad][0]}")
+    return energy, noise
 
 
-def cea_one_mode(energy: float, noise: float, base: LogBase = LogBase.BITS) -> float:
+def cea_one_mode(
+    energy: float | np.ndarray, noise: float | np.ndarray, base: LogBase = LogBase.BITS
+) -> float | np.ndarray:
     """Assisted capacity of the one-mode measurement with noise ``noise``.
 
     ``g(E) - g(N E / (N + E + 1))`` in the requested base; the optimal input
-    correlation equals the energy budget.
+    correlation equals the energy budget.  ``energy`` and ``noise`` are
+    scalars or arrays that broadcast together; returns a ``float`` for
+    scalars, else an array.
     """
-    _check_scalar_args(energy, noise)
+    energy, noise = _check_scalar_args(energy, noise)
     return g_scalar(energy, base) - g_scalar(
         noise * energy / (noise + energy + 1.0), base
     )
 
 
 def c_unassisted_one_mode(
-    energy: float, noise: float, base: LogBase = LogBase.BITS
-) -> float:
-    """Unassisted capacity ``log(N+E+1) - log(N+1)`` of the one-mode measurement."""
-    _check_scalar_args(energy, noise)
-    return math.log1p(energy / (noise + 1.0)) / base.ln_base
+    energy: float | np.ndarray, noise: float | np.ndarray, base: LogBase = LogBase.BITS
+) -> float | np.ndarray:
+    """Unassisted capacity ``log(N+E+1) - log(N+1)`` of the one-mode measurement.
+
+    Takes scalars or arrays like :func:`cea_one_mode`.
+    """
+    energy, noise = _check_scalar_args(energy, noise)
+    out = np.log1p(energy / (noise + 1.0)) / base.ln_base
+    return float(out) if out.ndim == 0 else out
 
 
 def gain(energy: float, noise: float, base: LogBase = LogBase.BITS) -> float:
@@ -146,15 +159,13 @@ def sweep_one_mode(
     """
     if len(noise_values) == 0 or len(energy_grid) == 0:
         raise InvalidRange("sweep grids must be nonempty")
-    rows = []
-    for noise in sorted(noise_values):
-        for energy in sorted(energy_grid):
-            assisted = cea_one_mode(energy, noise, base)
-            unassisted = c_unassisted_one_mode(energy, noise, base)
-            rows.append(
-                SweepPoint(noise, energy, assisted, unassisted, assisted / unassisted)
-            )
-    return rows
+    noise, energy = np.meshgrid(np.sort(noise_values), np.sort(energy_grid),
+                                indexing="ij")
+    noise, energy = noise.ravel(), energy.ravel()
+    assisted = cea_one_mode(energy, noise, base)
+    unassisted = c_unassisted_one_mode(energy, noise, base)
+    columns = (noise, energy, assisted, unassisted, assisted / unassisted)
+    return [SweepPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 class _ShellObjective:

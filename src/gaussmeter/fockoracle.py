@@ -65,7 +65,7 @@ P_MIN = 1e-14
 # Eigenvalues below this are dropped from entropy sums (truncation noise floor).
 ENTROPY_FLOOR = 1e-14
 
-# Default bound on the unrepresented tail of a truncated thermal state.
+# Bound on the unrepresented tail of a truncated thermal state, per mode.
 TAIL_TOL = 1e-6
 
 # Entries in flight across all workers of the larger per-outcome stack: ``B``
@@ -109,10 +109,13 @@ def validity_radius(dim: int, noise: float) -> float:
     """Largest outcome amplitude representable faithfully at this truncation.
 
     A noise state displaced by ``z`` occupies number levels around
-    ``|z|^2 + nbar`` with spread ``sqrt(|z|^2 (2 nbar + 1) + nbar(nbar+1))``;
-    the radius solves for the displacement that keeps one spread inside the
-    retained space.  Beyond it the truncated operators fold back and the
-    numeric outcome density becomes unreliable.
+    ``|z|^2 + nbar`` with spread ``sqrt(|z|^2 (2 nbar + 1) + nbar(nbar+1) + 1)``;
+    the radius is the largest ``|z|`` that keeps one spread inside the
+    retained space, ``|z|^2 + nbar + spread <= dim``.  With ``t = |z|^2``
+    that bound is the smaller root of
+    ``t^2 - (2 dim + 1) t + (dim - nbar)^2 - nbar(nbar+1) - 1``, or 0 when
+    the root is negative.  Beyond it the truncated operators fold back and
+    the numeric outcome density becomes unreliable.
 
     Raises:
         DimensionMismatch: when ``dim`` keeps fewer than 2 levels.
@@ -122,22 +125,14 @@ def validity_radius(dim: int, noise: float) -> float:
     nbar = float(noise)
     if not 0.0 <= nbar < math.inf:
         raise ValueError(f"mean occupation must be finite and nonnegative, got {nbar}")
-
-    def fits(r: float) -> bool:
-        spread = math.sqrt(r * r * (2.0 * nbar + 1.0) + nbar * (nbar + 1.0) + 1.0)
-        return r * r + nbar + spread <= dim
-
-    lo, hi = 0.0, math.sqrt(dim)
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    b = 2.0 * dim + 1.0
+    c = (dim - nbar) ** 2 - nbar * (nbar + 1.0) - 1.0
+    # the discriminant b^2 - 4c = 4 dim (2 nbar + 1) + 4 nbar + 5 is positive;
+    # 2c / (b + sqrt(...)) is the smaller root without cancellation
+    return math.sqrt(max(0.0, 2.0 * c / (b + math.sqrt(b * b - 4.0 * c))))
 
 
-def _thermal_diagonal(mean_number: float, dim: int, tail_tol: float) -> np.ndarray:
+def _thermal_diagonal(mean_number: float, dim: int) -> np.ndarray:
     _check_levels(dim)
     if not 0.0 <= mean_number < math.inf:
         raise ValueError(
@@ -149,29 +144,29 @@ def _thermal_diagonal(mean_number: float, dim: int, tail_tol: float) -> np.ndarr
         return probs
     ratio = mean_number / (mean_number + 1.0)
     tail = ratio**dim
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationTooSmall(
-            f"thermal tail mass {tail:.2e} at dim={dim} exceeds {tail_tol:.0e}"
+            f"thermal tail mass {tail:.2e} at dim={dim} exceeds {TAIL_TOL:.0e}"
         )
     n = np.arange(dim)
     return ratio**n / (mean_number + 1.0)
 
 
-def thermal_state(mean_number, dim: int, tail_tol: float = TAIL_TOL) -> np.ndarray:
+def thermal_state(mean_number, dim: int) -> np.ndarray:
     """Thermal density operator, or a product of them for several modes.
 
     Args:
         mean_number: scalar occupation, or one occupation per mode.
         dim: per-mode truncation dimension.
-        tail_tol: bound on the discarded geometric tail per mode.
 
     Raises:
-        TruncationTooSmall: if the discarded tail exceeds ``tail_tol``.
+        TruncationTooSmall: if the discarded geometric tail of a mode
+            exceeds :data:`TAIL_TOL`.
     """
     means = np.atleast_1d(np.asarray(mean_number, dtype=float))
-    out = np.diag(_thermal_diagonal(means[0], dim, tail_tol)).astype(complex)
+    out = np.diag(_thermal_diagonal(means[0], dim)).astype(complex)
     for mean in means[1:]:
-        out = np.kron(out, np.diag(_thermal_diagonal(mean, dim, tail_tol)))
+        out = np.kron(out, np.diag(_thermal_diagonal(mean, dim)))
     return out
 
 
@@ -234,14 +229,14 @@ def displacement(z, dim: int) -> np.ndarray:
     return out
 
 
-def povm_density(noise, z, dim: int, tail_tol: float = TAIL_TOL) -> np.ndarray:
+def povm_density(noise, z, dim: int) -> np.ndarray:
     """Operator density ``D(z) rho_noise D(z)^dag`` of the measurement POVM.
 
     Raises:
         ValueError: when ``z`` or ``noise`` is not finite.
     """
     d_op = displacement(z, dim)
-    return d_op @ thermal_state(noise, dim, tail_tol) @ d_op.conj().T
+    return d_op @ thermal_state(noise, dim) @ d_op.conj().T
 
 
 def _as_density(rho) -> np.ndarray:
@@ -252,14 +247,14 @@ def _as_density(rho) -> np.ndarray:
     return rho
 
 
-def _check_density(rho: np.ndarray, w: np.ndarray, trace_tol: float) -> None:
+def _check_density(rho: np.ndarray, w: np.ndarray) -> None:
     """Check Hermiticity, unit trace and positivity of ``rho``, with spectrum ``w``."""
     defect = np.abs(rho - rho.conj().T).max(initial=0.0)
     if defect > 1e-9 * (1.0 + np.abs(rho).max(initial=0.0)):
         raise ValueError(f"density operator asymmetry {defect:.3e}")
     trace = np.trace(rho).real
-    if abs(trace - 1.0) > trace_tol:
-        raise ValueError(f"density operator trace {trace} is not 1 within {trace_tol}")
+    if abs(trace - 1.0) > 1e-6:
+        raise ValueError(f"density operator trace {trace} is not 1 within 1e-6")
     w_min = w.min(initial=0.0)
     if w_min < -1e-10:
         raise ValueError(f"density operator has eigenvalue {w_min:.3e}")
@@ -270,10 +265,10 @@ def _spectrum_entropy(w: np.ndarray, base: LogBase) -> float:
     return float(-(w * np.log(w)).sum() / base.ln_base)
 
 
-def validate_density(rho: np.ndarray, trace_tol: float = 1e-6) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check finiteness, Hermiticity, unit trace and positivity of a state."""
     rho = _as_density(rho)
-    _check_density(rho, np.linalg.eigvalsh(rho), trace_tol)
+    _check_density(rho, np.linalg.eigvalsh(rho))
     return rho
 
 
@@ -311,22 +306,7 @@ def _mode_occupations(noise, modes: int) -> np.ndarray:
     return occupations
 
 
-def _sqrt_thermal(noise, dim: int, tail_tol: float) -> np.ndarray:
-    """Diagonal of the square root of a (product) thermal state."""
-    means = np.atleast_1d(np.asarray(noise, dtype=float))
-    diag = np.sqrt(_thermal_diagonal(means[0], dim, tail_tol))
-    for mean in means[1:]:
-        diag = np.kron(diag, np.sqrt(_thermal_diagonal(mean, dim, tail_tol)))
-    return diag
-
-
-def posterior_state(
-    rho: np.ndarray,
-    noise,
-    z,
-    p_min: float = P_MIN,
-    tail_tol: float = TAIL_TOL,
-) -> tuple[np.ndarray, float]:
+def posterior_state(rho: np.ndarray, noise, z) -> tuple[np.ndarray, float]:
     """Posterior state and outcome density for outcome ``z``.
 
     Returns the unit-trace operator
@@ -338,18 +318,18 @@ def posterior_state(
         ValueError: when ``rho`` or ``z`` is not finite.
         DimensionMismatch: when the state's dimension is not a power of the
             mode count of ``z``, or ``noise`` has neither 1 nor ``s`` entries.
-        NegligibleOutcome: when ``p`` falls below ``p_min``.
+        NegligibleOutcome: when ``p`` falls below :data:`P_MIN`.
     """
     rho = _as_density(rho)
     modes = np.atleast_1d(np.asarray(z)).size
     dim = _mode_dimension(rho, modes)
     noise = _mode_occupations(noise, modes)
     d_op = displacement(z, dim)
-    root = np.diag(_sqrt_thermal(noise, dim, tail_tol))
+    root = np.sqrt(thermal_state(noise, dim))
     raw = root @ d_op.conj().T @ rho @ d_op @ root
     p = float(np.trace(raw).real)
-    if p < p_min:
-        raise NegligibleOutcome(f"outcome density {p:.3e} below {p_min:.0e}")
+    if p < P_MIN:
+        raise NegligibleOutcome(f"outcome density {p:.3e} below {P_MIN:.0e}")
     return raw / p, p
 
 
@@ -551,8 +531,6 @@ def _er_outcome_terms(
     noise: np.ndarray,
     points: np.ndarray,
     base: LogBase,
-    p_min: float,
-    tail_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point density ``p`` and ``p H(posterior)`` for an ``s``-mode state.
 
@@ -586,7 +564,7 @@ def _er_outcome_terms(
     n, modes = points.shape
     rank = support.size
     theta, v = _displacement_basis(dim)
-    roots = [np.sqrt(_thermal_diagonal(nbar, dim, tail_tol))[:, None] * v
+    roots = [np.sqrt(_thermal_diagonal(nbar, dim))[:, None] * v
              for nbar in noise]
     diagonal = factor.ndim == 1
     if diagonal:
@@ -645,7 +623,7 @@ def _er_outcome_terms(
         for start in starts:
             gram = gram_stack(points[start : start + chunk])
             ps = np.einsum("kii->k", gram).real
-            keep = ps >= p_min
+            keep = ps >= P_MIN
             if not np.any(keep):
                 continue
             spectra = np.linalg.eigvalsh(gram[keep]) / ps[keep, None]
@@ -674,8 +652,6 @@ def er_numeric(
     grid: OutcomeGrid,
     base: LogBase = LogBase.BITS,
     mass_tol: float = MASS_TOL,
-    p_min: float = P_MIN,
-    tail_tol: float = TAIL_TOL,
 ) -> tuple[float, float]:
     """Entropy reduction by direct numerical integration.
 
@@ -683,7 +659,7 @@ def er_numeric(
     Outcomes with any amplitude beyond the truncation's validity radius
     (the smallest over the modes) are excluded and their (negligible)
     probability charged to the mass deficit; outcomes with density below
-    ``p_min`` are skipped the same way.
+    :data:`P_MIN` are skipped the same way.
 
     Args:
         noise: one occupation for every mode, or one per mode.
@@ -715,7 +691,7 @@ def er_numeric(
         w = np.diag(block).real
     else:
         w, u = np.linalg.eigh(block)
-    _check_density(rho, w, 1e-6)
+    _check_density(rho, w)
     entropy_in = _spectrum_entropy(w, base)
     factor = np.sqrt(np.clip(w, 0.0, None))
     if not diagonal:
@@ -730,7 +706,7 @@ def er_numeric(
     density = np.zeros(n)
     density_entropy = np.zeros(n)
     density[idx], density_entropy[idx] = _er_outcome_terms(
-        support, factor, dim, noise_arr, points[idx], base, p_min, tail_tol
+        support, factor, dim, noise_arr, points[idx], base
     )
     total_mass = float(np.sum(grid.weights * density))
     if abs(total_mass - 1.0) > mass_tol:

@@ -26,8 +26,8 @@ from .errors import (
 from .matfun import (
     EIG_CLIP,
     LogBase,
-    _g_nats,
     as_hermitian,
+    g_scalar,
     g_trace,
 )
 
@@ -176,8 +176,8 @@ def _entropy_reduction_gradient(
         raise DivisionDegenerate(
             "Lambda is singular: the gradient is infinite on its kernel")
     w_til, u_til = np.linalg.eigh(post.correlation)
-    w_til = np.clip(w_til, 0.0, None)
-    value = (_g_nats(w_lam).sum() - _g_nats(w_til).sum()) / base.ln_base
+    w_til = np.maximum(w_til, 0.0)
+    value = g_scalar(w_lam, base).sum() - g_scalar(w_til, base).sum()
     d_lam = np.log1p(1.0 / w_lam)
     d_til = np.log1p(np.divide(1.0, w_til, out=np.zeros_like(w_til),
                                where=w_til > EIG_CLIP))

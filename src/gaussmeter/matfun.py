@@ -1,10 +1,10 @@
 """Spectral calculus shared by the analytic modules.
 
 Provides the bosonic entropy function ``g(x) = (x+1)log(x+1) - x log x``
-as a scalar and summed over a Hermitian spectrum, principal square roots
-of positive semidefinite Hermitian matrices, and symplectic spectra of real
-covariance matrices.  All entropic outputs are reported in the base carried by a
-:class:`LogBase` value; the default is bits.
+elementwise on scalars and arrays and summed over a Hermitian spectrum,
+principal square roots of positive semidefinite Hermitian matrices, and
+symplectic spectra of real covariance matrices.  All entropic outputs are
+reported in the base carried by a :class:`LogBase` value; the default is bits.
 """
 
 from __future__ import annotations
@@ -100,31 +100,30 @@ def as_symmetric(matrix, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _g_nats(x: np.ndarray) -> np.ndarray:
-    """g on clipped nonnegative values, in nats; g(0) = 0 by continuity."""
-    out = np.zeros_like(x, dtype=float)
-    pos = x > 0
-    xp = x[pos]
-    out[pos] = xp * np.log1p(1.0 / xp) + np.log1p(xp)
-    return out
-
-
-def g_scalar(x: float, base: LogBase = LogBase.BITS) -> float:
-    """Entropy of a one-mode thermal state with mean occupation ``x``.
+def g_scalar(x: float | np.ndarray, base: LogBase = LogBase.BITS) -> float | np.ndarray:
+    """Entropy of a one-mode thermal state with mean occupation ``x``, elementwise.
 
     Args:
-        x: mean occupation number, >= 0 up to a clip tolerance; values in
-            ``[-1e-12, 0]`` are treated as 0.
+        x: mean occupation number, a scalar or an array, each entry >= 0 up
+            to a clip tolerance; entries in ``[-1e-12, 0]`` are treated as 0.
         base: log base of the result.
 
+    Returns:
+        A ``float`` for a scalar ``x``, else an array of ``x``'s shape.
+
     Raises:
-        NegativeArgument: if ``x < -1e-12``.
+        NegativeArgument: if an entry is below ``-1e-12`` or is NaN.
     """
-    if x < -EIG_CLIP:
-        raise NegativeArgument(f"g is undefined for x = {x}")
-    if x <= 0.0:
-        return 0.0
-    return (x * math.log1p(1.0 / x) + math.log1p(x)) / base.ln_base
+    x = np.asarray(x, dtype=float)
+    low = x.min(initial=0.0)
+    if not low >= -EIG_CLIP:
+        raise NegativeArgument(f"g is undefined for x = {low}")
+    # g(0) = 0 by continuity; masking keeps 1/x away from zero
+    out = np.zeros(x.shape)
+    pos = x > 0.0
+    xp = x[pos]
+    out[pos] = (xp * np.log1p(1.0 / xp) + np.log1p(xp)) / base.ln_base
+    return float(out) if out.ndim == 0 else out
 
 
 def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray],
@@ -151,12 +150,12 @@ def g_trace(matrix, base: LogBase = LogBase.BITS) -> float:
     w = np.linalg.eigvalsh(a)
     if w.min(initial=0.0) < -EIG_CLIP * (1.0 + abs(w).max(initial=0.0)):
         raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below clip tolerance")
-    return float(_g_nats(np.clip(w, 0.0, None)).sum() / base.ln_base)
+    return float(g_scalar(np.maximum(w, 0.0), base).sum())
 
 
-def psd_sqrt(matrix, clip: float = EIG_CLIP) -> np.ndarray:
+def psd_sqrt(matrix) -> np.ndarray:
     """Principal square root of a Hermitian positive semidefinite matrix."""
-    return hermitian_function(matrix, np.sqrt, clip=clip)
+    return hermitian_function(matrix, np.sqrt)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,13 @@ class TestOneModeClosedForms:
             cea_one_mode(1.0, -0.1)
         with pytest.raises(InvalidRange):
             c_unassisted_one_mode(-1.0, 0.0)
+        for fn in (cea_one_mode, c_unassisted_one_mode):
+            with pytest.raises(InvalidRange, match="energy .* got 0.0"):
+                fn(np.array([1.0, 0.0, 2.0]), 1.0)
+            with pytest.raises(InvalidRange, match="noise .* got -0.1"):
+                fn(np.ones(3), np.array([[0.5, 1.0, -0.1]]))
+            with pytest.raises(InvalidRange, match="noise .* got inf"):
+                fn(1.0, [0.0, math.inf])
 
     @pytest.mark.parametrize("energy, noise", [
         (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)])
@@ -304,6 +311,18 @@ class TestSweep:
         assert (row.assisted, row.unassisted, row.gain) == pytest.approx(
             (2.0, 1.0, 2.0), abs=1e-12
         )
+
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_rows_match_pointwise_closed_forms(self, base):
+        rng = np.random.default_rng(11)
+        rows = sweep_one_mode(rng.uniform(0.0, 10.0, 7), rng.uniform(1e-3, 1e3, 40), base)
+        assert len(rows) == 280
+        for row in rows:
+            assisted = cea_one_mode(row.energy, row.noise, base)
+            unassisted = c_unassisted_one_mode(row.energy, row.noise, base)
+            assert (row.assisted, row.unassisted, row.gain) == pytest.approx(
+                (assisted, unassisted, assisted / unassisted), rel=1e-15, abs=0.0
+            )
 
     def test_rows_sorted(self):
         rows = sweep_one_mode([1.0, 0.0], [10.0, 0.1])

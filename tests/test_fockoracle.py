@@ -616,6 +616,20 @@ def test_validity_radius_monotone():
     assert validity_radius(40, 0.0) > validity_radius(40, 2.0)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 7, 40, 200])
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0, 4.5, 10.0])
+def test_validity_radius_is_the_largest_fitting_amplitude(dim, noise):
+    def fits(r):
+        spread = math.sqrt(r * r * (2.0 * noise + 1.0) + noise * (noise + 1.0) + 1.0)
+        return r * r + noise + spread <= dim
+
+    radius = validity_radius(dim, noise)
+    # the radius is the root itself, where rounding r^2 can tip the inequality
+    # either way, so it is bracketed from inside by 1e-12 relative
+    assert fits(radius * (1.0 - 1e-12)) if radius > 0.0 else not fits(0.0)
+    assert not fits(radius * (1.0 + 1e-9))
+
+
 @pytest.mark.parametrize("noise", [math.nan, math.inf, -0.5, -3.0])
 def test_validity_radius_rejects_invalid_occupation(noise):
     with pytest.raises(ValueError, match="finite and nonnegative"):

@@ -47,10 +47,21 @@ class TestGScalar:
 
     def test_clip_window(self):
         assert g_scalar(-1e-13) == 0.0
+        assert g_scalar(np.array([-1e-13, 1.0])).tolist() == [0.0, g_scalar(1.0)]
 
     def test_negative_raises(self):
-        with pytest.raises(NegativeArgument):
-            g_scalar(-1e-6)
+        for x in (-1e-6, [1.0, -1e-6], [[0.5], [-2e-12]], math.nan):
+            with pytest.raises(NegativeArgument):
+                g_scalar(np.asarray(x))
+
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_array_matches_scalars(self, base):
+        xs = np.array([[0.0, 1e-300, 0.3], [1.0, 7.5, 1e6]])
+        vals = g_scalar(xs, base)
+        assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+        assert vals.tolist() == [[g_scalar(x, base) for x in row] for row in xs.tolist()]
+        assert type(g_scalar(0.3, base)) is float
+        assert type(g_scalar(np.float64(0.3), base)) is float
 
     def test_increasing_and_concave(self):
         xs = np.linspace(0.05, 30.0, 400)
