@@ -18,7 +18,11 @@ call as ``rho = W W^dag`` (``W`` is ``D x r``), and the Gram matrix is
 ``diag(a^2)`` drops every phase, and its Gram matrix is ``(a a^T)`` times,
 entry by entry, a tensor product of real per-mode blocks ``X_k^T X_k`` with
 ``X_k = sqrt(rho_noise,k) D(|z_k|)^dag`` on the levels the support uses;
-no ``B`` is built and the spectrum is taken in real arithmetic.  The
+no ``B`` is built and the spectrum is taken in real arithmetic.  Such a
+state's posterior spectrum depends on the outcome only through the radii
+``|z_k|``, so the kernel takes one spectrum per distinct radius tuple and
+copies it to every outcome that shares it (33 spectra for the 209 outcomes
+inside the validity radius of the default grid at dim 40, noise 1).  The
 quadrature rule is the grid's: for one mode a Gauss-Hermite tensor rule
 scaled to the outcome distribution, or a Cartesian trapezoid grid, each with
 a coarser companion rule whose difference is the error estimate; for two
@@ -26,7 +30,10 @@ modes seeded importance-sampling Monte Carlo, with its standard error.
 Chunks of outcomes run on ``GAUSSMETER_THREADS`` worker threads (default 1);
 each writes only its own outcomes, and the chunks in flight together hold at
 most ``CHUNK_ENTRIES`` entries of the larger per-outcome stack (one outcome
-per worker at the least).
+per worker at the least).  Each call allocates one workspace of
+``CHUNK_ENTRIES`` complex entries, split into one slot per worker, and writes
+its largest stacks there, so every call makes the same large allocation
+whatever its grid, state or predecessor.
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -72,7 +79,14 @@ TAIL_TOL = 1e-6
 # (``D r`` per outcome) for a general state, the Gram matrix (``r^2``) or a
 # mode's ``X_k`` (``dim u_k``) for a number-diagonal one.  256 full-width
 # one-mode outcomes at dim 40.  Bounds the kernel's working memory at any mode
-# count, support size and worker count.
+# count, support size and worker count.  It is also the size, in complex
+# entries, of the workspace that every call allocates (larger only when a
+# single outcome's stack exceeds a worker's share).  A fixed size is the point:
+# glibc's malloc maps a block at or above its mmap threshold on its own and
+# unmaps it on free, so its pages fault afresh on every use, and it raises the
+# threshold to the size of each such block it frees.  The workspace sets the
+# threshold on the first call; from then on every stack of the kernel comes
+# from heap pages the process keeps, whatever sizes earlier calls used.
 CHUNK_ENTRIES = 256 * 40 * 40
 
 # Gauss-Hermite nodes per axis of the default one-mode rule and of its
@@ -557,17 +571,31 @@ def _er_outcome_terms(
       chunk, and ``G`` is gathered from the ``u_k x u_k`` blocks by a flat
       index.  No ``B`` is built; ``eigvalsh`` is the only cubic work.
 
+    The number-diagonal ``G`` depends on ``z`` only through the radii
+    ``|z_k|``, so that builder runs on the distinct radius tuples of
+    ``points`` (``np.unique`` on ``|points|``, exact float equality) and the
+    results are copied back to every point; the values are those of a
+    point-by-point evaluation, bit for bit.  A general state runs on every
+    point.
+
     Chunks in flight hold at most ``CHUNK_ENTRIES`` entries of the larger
     per-outcome stack: ``D r`` for ``B``; ``r^2`` for ``G`` or ``dim u_k``
-    for ``X_k``.
+    for ``X_k``.  Each call allocates one workspace of ``CHUNK_ENTRIES``
+    complex entries (see that constant) and gives each worker a slot of
+    ``chunk x per-outcome`` entries; its largest stacks are written there
+    with ``out=``: each mode's last product ``sqrt(rho_noise) V (...)``,
+    ``B`` itself after the last mode, for a general state; ``G`` and each
+    mode's gathered block, as reals, for a number-diagonal one.
     """
-    n, modes = points.shape
     rank = support.size
+    modes = points.shape[1]
     theta, v = _displacement_basis(dim)
     roots = [np.sqrt(_thermal_diagonal(nbar, dim))[:, None] * v
              for nbar in noise]
     diagonal = factor.ndim == 1
     if diagonal:
+        # G reads only |z_k|: integrate each distinct radius tuple once
+        points, inverse = np.unique(np.abs(points), axis=0, return_inverse=True)
         # per mode: the support's levels, and G's flat index into X_k^T X_k
         levels = np.unravel_index(support, (dim,) * modes)
         blocks = []
@@ -578,50 +606,68 @@ def _er_outcome_terms(
         amplitudes = np.outer(factor, factor).ravel()
         per_outcome = max(rank * rank, dim * max(b.shape[1] for b, _ in blocks))
     else:
+        inverse = np.arange(points.shape[0])
         padded = np.zeros((dim**modes, rank), dtype=complex)
         padded[support] = factor
         per_outcome = padded.size
+    n = points.shape[0]
     workers = thread_cap()
     chunk = max(1, CHUNK_ENTRIES // (per_outcome * workers))
+    # one slot of the workspace per worker; it outgrows CHUNK_ENTRIES only
+    # when a single outcome does
+    slot = chunk * per_outcome
+    work = np.empty(max(CHUNK_ENTRIES, workers * slot), dtype=complex)
     density = np.zeros(n)
     density_entropy = np.zeros(n)
 
-    def diagonal_gram(zs: np.ndarray) -> np.ndarray:
-        m = zs.shape[0]
+    def diagonal_gram(radii: np.ndarray, out: np.ndarray) -> np.ndarray:
+        m = radii.shape[0]
+        # two real (point, r^2) stacks in ``out``: each mode gathers into one
+        # and multiplies it in place by the product so far, held in the other
+        stacks = out.view(float)[: 2 * m * rank * rank].reshape(2, m, -1)
         gram = amplitudes
-        for root, (vd, flat), amps in zip(roots, blocks, zs.T):
-            # x: the real X_k of every point, as (point, level, dim).  Each
-            # stack is dropped as soon as the next exists: with all of them
-            # alive to the end, glibc gave the memory back after every call
-            # and a serial dim-40 thermal call faulted 3x as often, 20 % slower
-            x = vd[:, None, :] * np.exp(1j * np.outer(theta, np.abs(amps)))[:, :, None]
+        for k, (root, (vd, flat), r) in enumerate(zip(roots, blocks, radii.T)):
+            # x: the real X_k of every point, as (point, level, dim)
+            x = vd[:, None, :] * np.exp(1j * np.outer(theta, r))[:, :, None]
             x = (root @ x.reshape(dim, -1)).real.reshape(dim, m, -1).transpose(1, 2, 0)
-            block = np.take((x @ x.transpose(0, 2, 1)).reshape(m, -1), flat, axis=1)
+            # mode="clip" gathers straight into the stack; "raise" would buffer
+            # (``flat`` is in range by construction)
+            block = np.take((x @ x.transpose(0, 2, 1)).reshape(m, -1), flat, axis=1,
+                            out=stacks[k % 2], mode="clip")
             block *= gram
             gram = block
         return gram.reshape(m, rank, rank)
 
-    def general_gram(zs: np.ndarray) -> np.ndarray:
+    def general_gram(zs: np.ndarray, out: np.ndarray) -> np.ndarray:
         m = zs.shape[0]
         # axes (mode axes..., point, rank): each mode's axis leads while its
-        # factor is applied, then moves behind the other mode axes
+        # factor is applied, then moves behind the other mode axes; the
+        # last product of each mode, B itself after the last, lands in ``out``
         b = np.broadcast_to(padded[:, None, :], (padded.shape[0], m, rank))
         for root, amps in zip(roots, zs.T):
             b = b.reshape(dim, -1, m, rank)
             phase = np.exp(-1j * np.outer(np.arange(dim), np.angle(amps)))
             b = b * phase[:, None, :, None]
             b = (v.conj().T @ b.reshape(dim, -1)).reshape(b.shape)
-            b = b * np.exp(1j * np.outer(theta, np.abs(amps)))[:, None, :, None]
-            b = np.moveaxis((root @ b.reshape(dim, -1)).reshape(b.shape), 0, 1)
+            b *= np.exp(1j * np.outer(theta, np.abs(amps)))[:, None, :, None]
+            product = np.matmul(root, b.reshape(dim, -1),
+                                out=out[: b.size].reshape(dim, -1))
+            b = np.moveaxis(product.reshape(b.shape), 0, 1)
         b = b.reshape(-1, m, rank).transpose(1, 0, 2)
         return np.swapaxes(b.conj(), 1, 2) @ b
 
     gram_stack = diagonal_gram if diagonal else general_gram
+    starts = range(0, n, chunk)
+    pending = iter(starts)
 
-    def integrate(starts) -> None:
-        """Fill the disjoint slices of the outputs at ``starts``, chunk by chunk."""
-        for start in starts:
-            gram = gram_stack(points[start : start + chunk])
+    def integrate(worker: int) -> None:
+        """Fill the outputs chunk by chunk, each chunk's largest stacks in the
+        ``worker``'s slot of ``work``.  The workers draw their chunks from one
+        iterator (each draw is atomic under the GIL), so a worker that gets
+        its core back late takes fewer chunks."""
+        out = work[worker * slot : (worker + 1) * slot]
+        for start in pending:
+            gram = gram_stack(points[start : start + chunk], out)
             ps = np.einsum("kii->k", gram).real
             keep = ps >= P_MIN
             if not np.any(keep):
@@ -635,15 +681,13 @@ def _er_outcome_terms(
             density[idx] = ps[keep]
             density_entropy[idx] = ps[keep] * entropies
 
-    starts = range(0, n, chunk)
     if workers > 1 and len(starts) > 1:
-        # numpy releases the GIL; one task per chunk frees a worker's buffers
-        # between its chunks, which keeps peak memory at the serial loop's
+        # numpy releases the GIL; each worker writes only its own outcomes
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(integrate, ([start] for start in starts)))
+            list(pool.map(integrate, range(workers)))
     else:
-        integrate(starts)  # one call: each chunk reuses the last one's memory
-    return density, density_entropy
+        integrate(0)
+    return density[inverse], density_entropy[inverse]
 
 
 def er_numeric(

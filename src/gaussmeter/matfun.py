@@ -37,6 +37,9 @@ EIG_CLIP = 1e-12
 # Relative tolerance for the duplicate-pair structure of symplectic spectra.
 PAIRING_RTOL = 1e-8
 
+# Below this (2^-1022) 1/x overflows, so g_scalar takes another form there.
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 class LogBase(enum.Enum):
     """Logarithm base used for all entropic quantities (bits or nats)."""
@@ -118,11 +121,19 @@ def g_scalar(x: float | np.ndarray, base: LogBase = LogBase.BITS) -> float | np.
     low = x.min(initial=0.0)
     if not low >= -EIG_CLIP:
         raise NegativeArgument(f"g is undefined for x = {low}")
-    # g(0) = 0 by continuity; masking keeps 1/x away from zero
+    # g(0) = 0 by continuity.  The form x log1p(1/x) + log1p(x) does not
+    # cancel at large x, and 1/x is finite for every normal x.  It overflows
+    # for subnormal x, where g = x(1 - ln x) to the last bit (the x^2 terms
+    # vanish); that branch runs only when x has nonzero entries below
+    # SMALLEST_NORMAL, so the common case costs one count
     out = np.zeros(x.shape)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = (xp * np.log1p(1.0 / xp) + np.log1p(xp)) / base.ln_base
+    normal = x >= SMALLEST_NORMAL
+    xn = x[normal]
+    out[normal] = (xn * np.log1p(1.0 / xn) + np.log1p(xn)) / base.ln_base
+    if np.count_nonzero(x) > xn.size:
+        subnormal = (x > 0.0) & ~normal
+        xs = x[subnormal]
+        out[subnormal] = xs * (1.0 - np.log(xs)) / base.ln_base
     return float(out) if out.ndim == 0 else out
 
 

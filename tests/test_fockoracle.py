@@ -511,10 +511,12 @@ class TestWorkerThreads:
 
     @pytest.mark.parametrize("threads", [2, 8])
     def test_one_mode_thermal(self, monkeypatch, threads):
-        # 209 outcomes inside the validity radius: one chunk on one worker, 2
-        # chunks on two, 7 on eight (more workers than cores)
+        # 1685 outcomes inside the validity radius on 202 distinct radii: one
+        # chunk on one worker, 2 chunks on two, 7 on eight (more workers than
+        # cores).  The step 15/64 is exact in binary, so lattice points of
+        # equal |z| give equal floats.
         rho = thermal_state(1.0, 40)
-        grid = default_grid(1.0, 1.0)
+        grid = cartesian_grid(6.0, 15 / 64)
         serial, no_pool = self.run(monkeypatch, 1, rho, 1.0, grid)
         pooled, pools = self.run(monkeypatch, threads, rho, 1.0, grid, switch=1e-6)
         assert no_pool == [] and pools == [threads]
@@ -524,6 +526,79 @@ class TestWorkerThreads:
         rho = random_low_energy_state(rng, 12, 40)
         _, pools = self.run(monkeypatch, 2, rho, 1.0, default_grid(1.0, 1.0))
         assert pools == []
+
+
+class TestDistinctRadii:
+    """Number-diagonal states integrate each distinct radius tuple once."""
+
+    @staticmethod
+    def evaluated(monkeypatch, rho, noise, grid, **options):
+        """``er_numeric``, and how many posterior spectra it took."""
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            spectra.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return er_numeric(rho, noise, grid, **options), sum(spectra)
+
+    @staticmethod
+    def flipped(points, rng):
+        """Each outcome again, with every mode negated, conjugated or turned by i.
+
+        These flips keep each |z_k| exactly, so radius tuples repeat.
+        """
+        flips = np.array([-1.0, 1j, -1j])
+        turned = [points]
+        for _ in range(3):
+            factors = rng.choice(flips, size=points.shape)
+            conj = rng.random(points.shape) < 0.5
+            turned.append(np.where(conj, points.conj(), points) * factors)
+        return np.concatenate(turned)
+
+    def test_matches_per_point_evaluation(self, monkeypatch, rng):
+        # the kernel on every outcome alone, against one call on the grid:
+        # equal bit for bit, as the Gram builder reads only |z_k|
+        kernel = fockoracle._er_outcome_terms
+
+        def per_point(support, factor, dim, noise, points, base):
+            terms = [kernel(support, factor, dim, noise, points[i : i + 1], base)
+                     for i in range(points.shape[0])]
+            return tuple(np.concatenate(part) for part in zip(*terms))
+
+        mixture = np.diag(np.pad(rng.dirichlet(np.ones(12)), (0, 28)))
+        mc = monte_carlo_grid(np.diag([1.35, 1.6]), 12, seed=4)
+        two_mode = OutcomeGrid(self.flipped(mc.points, rng),
+                               np.tile(mc.weights, 4) / 4, mc.scheme)
+        assert np.unique(np.abs(two_mode.points), axis=0).shape[0] == 12
+        cases = [
+            (thermal_state(1.0, 40), 1.0, default_grid(1.0, 1.0)),
+            (mixture, 1.0, cartesian_grid(2.0, 0.5)),
+            (sparse_diagonal_state(rng, 12, ((5, 4), (3, 6))), (0.15, 0.3),
+             two_mode),
+        ]
+        for rho, noise, grid in cases:
+            whole = er_numeric(rho, noise, grid, mass_tol=math.inf)
+            monkeypatch.setattr(fockoracle, "_er_outcome_terms", per_point)
+            alone = er_numeric(rho, noise, grid, mass_tol=math.inf)
+            monkeypatch.setattr(fockoracle, "_er_outcome_terms", kernel)
+            assert whole == alone
+
+    def test_default_grid_takes_33_spectra(self, monkeypatch):
+        # 209 of the 625 outcomes lie inside the validity radius at dim 40,
+        # noise 1, on 33 distinct radii
+        grid = default_grid(1.0, 1.0)
+        inside = grid.points[np.abs(grid.points) <= validity_radius(40, 1.0)]
+        assert inside.size == 209
+        _, count = self.evaluated(monkeypatch, thermal_state(1.0, 40), 1.0, grid)
+        assert count == 33
+
+    def test_non_diagonal_state_takes_every_outcome(self, monkeypatch, rng):
+        rho = random_low_energy_state(rng, 12, 40)
+        _, count = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
+        assert count == 209
 
 
 class TestMoments:

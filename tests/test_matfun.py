@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ class TestGScalar:
         assert vals.tolist() == [[g_scalar(x, base) for x in row] for row in xs.tolist()]
         assert type(g_scalar(0.3, base)) is float
         assert type(g_scalar(np.float64(0.3), base)) is float
+
+    @pytest.mark.parametrize("base", list(LogBase))
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_subnormal_occupation(self, x, base):
+        # g(x) = x(1 - ln x) + O(x^2) nats; 1/x would overflow here
+        expected = x * (1.0 - math.log(x)) / base.ln_base
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = g_scalar(x, base)
+            values = g_scalar(np.array([x, 0.0, 1.0, x]), base)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert values.tolist() == [value, 0.0, g_scalar(1.0, base), value]
 
     def test_increasing_and_concave(self):
         xs = np.linspace(0.05, 30.0, 400)
