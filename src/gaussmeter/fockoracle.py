@@ -12,17 +12,17 @@ and the posterior's nonzero spectrum at each outcome is that of an
 ``r x r`` Gram matrix over its trace.  Per mode, with ``z = r e^{i phi}``,
 ``D(z)^dag`` is the number phase ``e^{-i phi n}`` followed by ``D(r)^dag`` in
 the eigenbasis of ``i(a^dag - a)``, so no ``D x D`` operator is built.  The
-Gram matrix is built one of two ways.  A general state is factored once per
-call as ``rho = W W^dag`` (``W`` is ``D x r``), and the Gram matrix is
-``B^dag B`` for ``B = sqrt(rho_noise) D(z)^dag W``.  A number-diagonal state
-``diag(a^2)`` drops every phase, and its Gram matrix is ``(a a^T)`` times,
-entry by entry, a tensor product of real per-mode blocks ``X_k^T X_k`` with
-``X_k = sqrt(rho_noise,k) D(|z_k|)^dag`` on the levels the support uses;
-no ``B`` is built and the spectrum is taken in real arithmetic.  Such a
-state's posterior spectrum depends on the outcome only through the radii
-``|z_k|``, so the kernel takes one spectrum per distinct radius tuple and
-copies it to every outcome that shares it (33 spectra for the 209 outcomes
-inside the validity radius of the default grid at dim 40, noise 1).  The
+state is factored once per call as ``rho = W W^dag`` on its support, and
+the Gram matrix is ``W_phi^dag P W_phi``: ``P`` is the tensor product of
+real per-mode blocks ``X_k^T X_k`` with ``X_k = sqrt(rho_noise,k)
+D(|z_k|)^dag``, on the levels the support uses, and ``W_phi`` is ``W`` with
+the outcome's number phase ``e^{-i sum_k phi_k n_k}`` on each row.  A
+number-diagonal state ``diag(a^2)`` drops every phase: its Gram matrix is
+``(a a^T)`` times ``P`` entry by entry, its spectrum is taken in real
+arithmetic, and it depends on the outcome only through the radii ``|z_k|``,
+so the kernel takes one spectrum per distinct radius tuple and copies it to
+every outcome that shares it (33 spectra for the 209 outcomes inside the
+validity radius of the default grid at dim 40, noise 1).  The
 quadrature rule is the grid's: for one mode a Gauss-Hermite tensor rule
 scaled to the outcome distribution, or a Cartesian trapezoid grid, each with
 a coarser companion rule whose difference is the error estimate; for two
@@ -75,17 +75,16 @@ ENTROPY_FLOOR = 1e-14
 # Bound on the unrepresented tail of a truncated thermal state, per mode.
 TAIL_TOL = 1e-6
 
-# Entries in flight across all workers of the larger per-outcome stack: ``B``
-# (``D r`` per outcome) for a general state, the Gram matrix (``r^2``) or a
-# mode's ``X_k`` (``dim u_k``) for a number-diagonal one.  256 full-width
-# one-mode outcomes at dim 40.  Bounds the kernel's working memory at any mode
-# count, support size and worker count.  It is also the size, in complex
-# entries, of the workspace that every call allocates (larger only when a
-# single outcome's stack exceeds a worker's share).  A fixed size is the point:
-# glibc's malloc maps a block at or above its mmap threshold on its own and
-# unmaps it on free, so its pages fault afresh on every use, and it raises the
-# threshold to the size of each such block it frees.  The workspace sets the
-# threshold on the first call; from then on every stack of the kernel comes
+# Entries in flight across all workers of the larger per-outcome stack: the
+# Gram matrix (``r^2`` per outcome) or a mode's ``X_k`` (``dim u_k``).  256
+# full-width one-mode outcomes at dim 40.  Bounds the kernel's working memory
+# at any mode count, support size and worker count.  It is also the size, in
+# complex entries, of the workspace that every call allocates (larger only when
+# a single outcome's stack exceeds a worker's share).  A fixed size is the
+# point: glibc's malloc maps a block at or above its mmap threshold on its own
+# and unmaps it on free, so its pages fault afresh on every use, and it raises
+# the threshold to the size of each such block it frees.  The workspace sets
+# the threshold on the first call; from then on every stack of the kernel comes
 # from heap pages the process keeps, whatever sizes earlier calls used.
 CHUNK_ENTRIES = 256 * 40 * 40
 
@@ -98,11 +97,11 @@ HERMITE_NODES = 20
 HERMITE_COMPANION_NODES = 15
 
 
-def thread_cap(default: int = 1) -> int:
-    """Chunk workers of :func:`er_numeric`: ``GAUSSMETER_THREADS``, else ``default``."""
+def thread_cap() -> int:
+    """Chunk workers of :func:`er_numeric`: ``GAUSSMETER_THREADS``, else 1."""
     raw = os.environ.get("GAUSSMETER_THREADS")
     if raw is None:
-        return max(1, default)
+        return 1
     try:
         return max(1, int(raw))
     except ValueError:
@@ -550,42 +549,38 @@ def _er_outcome_terms(
 
     ``points`` has shape ``(n, s)``, ``noise`` one occupation per mode and
     ``dim`` is the truncation per mode.  The state lives on the ``r`` number
-    states ``S = support`` (flat indices into ``D = dim^s``); the unnormalized
-    posterior ``sqrt(rho_noise) D(z)^dag rho D(z) sqrt(rho_noise)`` has the
-    nonzero spectrum of an ``r x r`` Gram matrix ``G``, built one of two ways.
-    Per mode, with ``z = |z| e^{i phi}``, ``D(z)^dag =
-    U_phi V e^{i |z| theta} V^dag U_phi^dag``, and the left ``U_phi`` commutes
-    with the diagonal noise root and drops out of ``G``.
+    states ``S = support`` (flat indices into ``D = dim^s``), as
+    ``rho[S, S] = W W^dag``; the unnormalized posterior
+    ``sqrt(rho_noise) D(z)^dag rho D(z) sqrt(rho_noise)`` has the nonzero
+    spectrum of the ``r x r`` Gram matrix ``G = B^dag B`` for
+    ``B = sqrt(rho_noise) D(z)^dag W``.  Per mode, with ``z = |z| e^{i phi}``,
+    ``D(z)^dag = U_phi V e^{i |z| theta} V^dag U_phi^dag``, and the left
+    ``U_phi`` commutes with the diagonal noise root and drops out, so
+    ``G = W_phi^dag P[S, S] W_phi``.  ``W_phi = U_phi^dag W`` is ``W`` with
+    the phase ``e^{-i sum_k phi_k n_k}`` on each row, and
+    ``P = (x)_k X_k^T X_k`` for the real ``X_k = sqrt(rho_noise,k)
+    D(|z_k|)^dag``.  Only the ``u_k`` levels of mode ``k`` that ``S`` uses
+    are needed, so ``X_k`` is ``dim x u_k``, one complex GEMM per mode and
+    chunk, and ``P[S, S]`` is gathered from the ``u_k x u_k`` blocks by a
+    flat index.  No ``D``-sized stack is built.
 
-    * ``factor`` 2-D, a general state: the ``r x r`` factor of
-      ``rho[S, S] = W W^dag``.  With ``W`` padded to ``D x r``,
-      ``G = B^dag B`` for ``B = sqrt(rho_noise) D(z)^dag W``, applied one
-      mode at a time.
-    * ``factor`` 1-D, a number-diagonal state: the amplitudes ``a`` of
-      ``rho[S, S] = diag(a^2)``, zeros allowed.  ``U_phi^dag`` then acts on
-      ``W = diag(a)`` as a unitary on the right and drops out too, so
-      ``G = (a a^T) o P[S, S]`` (``o`` entry by entry) with
-      ``P = (x)_k X_k^T X_k`` and the real ``X_k = sqrt(rho_noise,k)
-      D(|z_k|)^dag``.  Only the ``u_k`` levels of mode ``k`` that ``S`` uses
-      are needed, so ``X_k`` is ``dim x u_k``, one complex GEMM per mode and
-      chunk, and ``G`` is gathered from the ``u_k x u_k`` blocks by a flat
-      index.  No ``B`` is built; ``eigvalsh`` is the only cubic work.
-
-    The number-diagonal ``G`` depends on ``z`` only through the radii
-    ``|z_k|``, so that builder runs on the distinct radius tuples of
-    ``points`` (``np.unique`` on ``|points|``, exact float equality) and the
-    results are copied back to every point; the values are those of a
-    point-by-point evaluation, bit for bit.  A general state runs on every
-    point.
+    ``factor`` is ``W`` (2-D, ``r x r``) for a general state.  For a
+    number-diagonal state it is 1-D, the amplitudes ``a`` of
+    ``rho[S, S] = diag(a^2)``, zeros allowed: ``W = diag(a)``, the row phases
+    act on it as a unitary on the right and drop out, and
+    ``G = (a a^T) o P[S, S]`` (``o`` entry by entry) is real.  That ``G``
+    depends on ``z`` only through the radii ``|z_k|``, so it is built for
+    the distinct radius tuples of ``points`` (``np.unique`` on ``|points|``,
+    exact float equality) and the results are copied back to every point;
+    the values are those of a point-by-point evaluation, bit for bit.  A
+    general state runs on every point.
 
     Chunks in flight hold at most ``CHUNK_ENTRIES`` entries of the larger
-    per-outcome stack: ``D r`` for ``B``; ``r^2`` for ``G`` or ``dim u_k``
-    for ``X_k``.  Each call allocates one workspace of ``CHUNK_ENTRIES``
-    complex entries (see that constant) and gives each worker a slot of
-    ``chunk x per-outcome`` entries; its largest stacks are written there
-    with ``out=``: each mode's last product ``sqrt(rho_noise) V (...)``,
-    ``B`` itself after the last mode, for a general state; ``G`` and each
-    mode's gathered block, as reals, for a number-diagonal one.
+    per-outcome stack: ``r^2`` for ``G`` or ``dim u_k`` for ``X_k``.  Each
+    call allocates one workspace of ``CHUNK_ENTRIES`` complex entries (see
+    that constant) and gives each worker a slot of ``chunk x per-outcome``
+    entries; each mode's gathered block and their product ``P[S, S]`` are
+    written there as reals with ``out=``.
     """
     rank = support.size
     modes = points.shape[1]
@@ -596,20 +591,18 @@ def _er_outcome_terms(
     if diagonal:
         # G reads only |z_k|: integrate each distinct radius tuple once
         points, inverse = np.unique(np.abs(points), axis=0, return_inverse=True)
-        # per mode: the support's levels, and G's flat index into X_k^T X_k
-        levels = np.unravel_index(support, (dim,) * modes)
-        blocks = []
-        for level in levels:
-            used, pos = np.unique(level, return_inverse=True)
-            flat = (pos[:, None] * used.size + pos[None, :]).ravel()
-            blocks.append((v.conj().T[:, used], flat))
         amplitudes = np.outer(factor, factor).ravel()
-        per_outcome = max(rank * rank, dim * max(b.shape[1] for b, _ in blocks))
     else:
         inverse = np.arange(points.shape[0])
-        padded = np.zeros((dim**modes, rank), dtype=complex)
-        padded[support] = factor
-        per_outcome = padded.size
+        amplitudes = 1.0  # the blocks' product is P[S, S] itself
+    # per mode: the support's levels, and P[S, S]'s flat index into X_k^T X_k
+    levels = np.array(np.unravel_index(support, (dim,) * modes))
+    blocks = []
+    for level in levels:
+        used, pos = np.unique(level, return_inverse=True)
+        flat = (pos[:, None] * used.size + pos[None, :]).ravel()
+        blocks.append((v.conj().T[:, used], flat))
+    per_outcome = max(rank * rank, dim * max(b.shape[1] for b, _ in blocks))
     n = points.shape[0]
     workers = thread_cap()
     chunk = max(1, CHUNK_ENTRIES // (per_outcome * workers))
@@ -620,13 +613,13 @@ def _er_outcome_terms(
     density = np.zeros(n)
     density_entropy = np.zeros(n)
 
-    def diagonal_gram(radii: np.ndarray, out: np.ndarray) -> np.ndarray:
-        m = radii.shape[0]
+    def gram_stack(zs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        m = zs.shape[0]
         # two real (point, r^2) stacks in ``out``: each mode gathers into one
         # and multiplies it in place by the product so far, held in the other
         stacks = out.view(float)[: 2 * m * rank * rank].reshape(2, m, -1)
         gram = amplitudes
-        for k, (root, (vd, flat), r) in enumerate(zip(roots, blocks, radii.T)):
+        for k, (root, (vd, flat), r) in enumerate(zip(roots, blocks, np.abs(zs).T)):
             # x: the real X_k of every point, as (point, level, dim)
             x = vd[:, None, :] * np.exp(1j * np.outer(theta, r))[:, :, None]
             x = (root @ x.reshape(dim, -1)).real.reshape(dim, m, -1).transpose(1, 2, 0)
@@ -636,27 +629,16 @@ def _er_outcome_terms(
                             out=stacks[k % 2], mode="clip")
             block *= gram
             gram = block
-        return gram.reshape(m, rank, rank)
+        gram = gram.reshape(m, rank, rank)
+        if diagonal:
+            return gram
+        # W_phi: W with the phase e^{-i sum_k phi_k n_k} on each row.  P W_phi
+        # is taken in real arithmetic on its interleaved real and imaginary
+        # parts; W_phi^dag then conjugates W_phi in place, not in a copy
+        w_phi = np.exp(-1j * (np.angle(zs) @ levels))[:, :, None] * factor
+        product = (gram @ w_phi.view(float)).view(complex)
+        return np.swapaxes(np.conjugate(w_phi, out=w_phi), 1, 2) @ product
 
-    def general_gram(zs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        m = zs.shape[0]
-        # axes (mode axes..., point, rank): each mode's axis leads while its
-        # factor is applied, then moves behind the other mode axes; the
-        # last product of each mode, B itself after the last, lands in ``out``
-        b = np.broadcast_to(padded[:, None, :], (padded.shape[0], m, rank))
-        for root, amps in zip(roots, zs.T):
-            b = b.reshape(dim, -1, m, rank)
-            phase = np.exp(-1j * np.outer(np.arange(dim), np.angle(amps)))
-            b = b * phase[:, None, :, None]
-            b = (v.conj().T @ b.reshape(dim, -1)).reshape(b.shape)
-            b *= np.exp(1j * np.outer(theta, np.abs(amps)))[:, None, :, None]
-            product = np.matmul(root, b.reshape(dim, -1),
-                                out=out[: b.size].reshape(dim, -1))
-            b = np.moveaxis(product.reshape(b.shape), 0, 1)
-        b = b.reshape(-1, m, rank).transpose(1, 0, 2)
-        return np.swapaxes(b.conj(), 1, 2) @ b
-
-    gram_stack = diagonal_gram if diagonal else general_gram
     starts = range(0, n, chunk)
     pending = iter(starts)
 
@@ -726,7 +708,7 @@ def er_numeric(
     # eigh of that block gives its nonzero spectrum and W, rho = W W^dag.  Every
     # eigenpair is kept: a spectral floor would tie the cost to a state's tail.
     # A number-diagonal state skips eigh and hands the kernel its amplitudes
-    # sqrt(diag rho), which selects the kernel's Gram builder without B.
+    # sqrt(diag rho), which drops the outcome's phases from the Gram matrix.
     nonzero = rho != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     block = rho[np.ix_(support, support)]

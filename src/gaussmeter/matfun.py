@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -198,7 +198,9 @@ class SymplecticForm:
         return inv
 
 
+@lru_cache(maxsize=None)
 def symplectic_form(s: int) -> SymplecticForm:
+    """The shared form on ``s`` modes, so its matrices are built once."""
     return SymplecticForm(s)
 
 
@@ -221,10 +223,10 @@ def symplectic_spectrum(alpha, form: SymplecticForm) -> np.ndarray:
         raise NotPositiveDefinite(
             f"covariance is {a.shape[0]}x{a.shape[0]}, form expects {2 * form.s}"
         )
-    w = np.linalg.eigvalsh(a)
+    w, u = np.linalg.eigh(a)
     if w.min() <= EIG_CLIP * (1.0 + w.max(initial=0.0)):
         raise NotPositiveDefinite(f"minimum eigenvalue {w.min():.3e}")
-    root = psd_sqrt(a).real
+    root = (u * np.sqrt(w)) @ u.T
     delta = form.matrix
     # -(Delta^-1 alpha)^2 is similar to the PSD matrix sqrt(a) Delta^T a Delta sqrt(a),
     # so its spectrum can be taken from a Hermitian eigensolve.

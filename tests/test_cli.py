@@ -264,7 +264,6 @@ class TestVerify:
         monkeypatch.setenv("GAUSSMETER_THREADS", "not-a-number")
         assert thread_cap() == 1
         monkeypatch.delenv("GAUSSMETER_THREADS")
-        assert thread_cap(default=1) == 1
         assert thread_cap() == 1
 
     def test_correspondence_case(self, capsys):

@@ -361,21 +361,32 @@ class TestErNumeric:
             assert estimate < 2e-2
 
     def test_two_mode_matches_pointwise_posteriors(self, rng):
-        # the batched kernel against posterior_state taken one outcome at a time
-        dim, noise = 10, (0.15, 0.3)
-        draws = [random_low_energy_state(rng, 5, dim) for _ in range(4)]
-        rho = 0.5 * (np.kron(draws[0], draws[1]) + np.kron(draws[2], draws[3]))
-        points = 0.4 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
-        weights = rng.uniform(0.5, 1.5, size=6)
-        grid = OutcomeGrid(
-            points=points, weights=weights, scheme="monte-carlo"
-        )
-        value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
-        expected = von_neumann_entropy(rho)
-        for z, w in zip(points, weights):
-            post, p = posterior_state(rho, noise, z)
-            expected -= w * p * von_neumann_entropy(post)
-        assert value == pytest.approx(expected, abs=1e-12)
+        # the batched kernel against posterior_state taken one outcome at a
+        # time, on non-diagonal states: a mixture of products on 25 of 100
+        # states, and a state on every level pair (support 36 = D), a product
+        # thermal state with one mode displaced, then mixed on a beam splitter
+        # with a complex coupling
+        dim = 6
+        a, eye = annihilation(dim), np.eye(dim)
+        a1, a2 = np.kron(a, eye), np.kron(eye, a)
+        coupling = 0.6 * np.exp(0.4j) * a1.conj().T @ a2
+        mixer = scipy.linalg.expm(coupling - coupling.conj().T)
+        mixer = mixer @ np.kron(displacement(0.3 + 0.2j, dim), eye)
+        full = mixer @ thermal_state((0.1, 0.02), dim) @ mixer.conj().T
+        full = 0.5 * (full + full.conj().T)
+        assert np.count_nonzero(np.diag(full)) == dim * dim
+        draws = [random_low_energy_state(rng, 5, 10) for _ in range(4)]
+        mixture = 0.5 * (np.kron(draws[0], draws[1]) + np.kron(draws[2], draws[3]))
+        for rho, noise in ((mixture, (0.15, 0.3)), (full, (0.05, 0.1))):
+            points = 0.4 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+            weights = rng.uniform(0.5, 1.5, size=6)
+            grid = OutcomeGrid(points=points, weights=weights, scheme="monte-carlo")
+            value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
+            expected = von_neumann_entropy(rho)
+            for z, w in zip(points, weights):
+                post, p = posterior_state(rho, noise, z)
+                expected -= w * p * von_neumann_entropy(post)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     def test_two_mode_thermal_matches_pointwise_posteriors(self, rng):
         # the Gram builder of number-diagonal states, one outcome at a time:

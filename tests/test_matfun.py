@@ -179,6 +179,12 @@ class TestSymplecticSpectrum:
         np.testing.assert_allclose(delta, -delta.T)
         np.testing.assert_allclose(delta @ delta, -np.eye(6))
 
+    def test_form_is_shared_and_read_only(self):
+        form = symplectic_form(2)
+        assert symplectic_form(2) is form
+        with pytest.raises(ValueError):
+            form.matrix[0, 1] = 2.0
+
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             symplectic_spectrum(np.array([[1.0, 0.2], [0.0, 1.0]]), symplectic_form(1))
