@@ -54,6 +54,18 @@ def sparse_diagonal_state(rng, dim, levels):
     return np.diag(probs.ravel() / probs.sum()).astype(complex)
 
 
+def beam_splitter_state(dim):
+    """Two-mode state on every level pair: a product thermal state with one
+    mode displaced, then mixed on a beam splitter with a complex coupling."""
+    a, eye = annihilation(dim), np.eye(dim)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    coupling = 0.6 * np.exp(0.4j) * a1.conj().T @ a2
+    mixer = scipy.linalg.expm(coupling - coupling.conj().T)
+    mixer = mixer @ np.kron(displacement(0.3 + 0.2j, dim), eye)
+    full = mixer @ thermal_state((0.1, 0.02), dim) @ mixer.conj().T
+    return 0.5 * (full + full.conj().T)
+
+
 def coherent_state(amplitude, dim):
     d_op = displacement(amplitude, dim)
     rho = np.zeros((dim, dim), dtype=complex)
@@ -363,21 +375,16 @@ class TestErNumeric:
     def test_two_mode_matches_pointwise_posteriors(self, rng):
         # the batched kernel against posterior_state taken one outcome at a
         # time, on non-diagonal states: a mixture of products on 25 of 100
-        # states, and a state on every level pair (support 36 = D), a product
-        # thermal state with one mode displaced, then mixed on a beam splitter
-        # with a complex coupling
-        dim = 6
-        a, eye = annihilation(dim), np.eye(dim)
-        a1, a2 = np.kron(a, eye), np.kron(eye, a)
-        coupling = 0.6 * np.exp(0.4j) * a1.conj().T @ a2
-        mixer = scipy.linalg.expm(coupling - coupling.conj().T)
-        mixer = mixer @ np.kron(displacement(0.3 + 0.2j, dim), eye)
-        full = mixer @ thermal_state((0.1, 0.02), dim) @ mixer.conj().T
-        full = 0.5 * (full + full.conj().T)
-        assert np.count_nonzero(np.diag(full)) == dim * dim
+        # states, the beam-splitter state on every level pair (support
+        # 36 = D), and a product of two of the mixture's states, which is
+        # integrated mode by mode
+        full = beam_splitter_state(6)
+        assert np.count_nonzero(np.diag(full)) == full.shape[0]
         draws = [random_low_energy_state(rng, 5, 10) for _ in range(4)]
         mixture = 0.5 * (np.kron(draws[0], draws[1]) + np.kron(draws[2], draws[3]))
-        for rho, noise in ((mixture, (0.15, 0.3)), (full, (0.05, 0.1))):
+        product = np.kron(draws[0], draws[3])
+        for rho, noise in ((mixture, (0.15, 0.3)), (full, (0.05, 0.1)),
+                           (product, (0.15, 0.3))):
             points = 0.4 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
             weights = rng.uniform(0.5, 1.5, size=6)
             grid = OutcomeGrid(points=points, weights=weights, scheme="monte-carlo")
@@ -392,7 +399,11 @@ class TestErNumeric:
         # the Gram builder of number-diagonal states, one outcome at a time:
         # a product thermal state; a non-product state whose support is no
         # level grid (a swapped mode or a wrong gather index shows here); three
-        # modes; one mode with a roundoff-negative entry, a zero amplitude
+        # modes; one mode with a roundoff-negative entry, a zero amplitude.
+        # The two products are integrated mode by mode, so a three-mode mixture
+        # of products keeps the joint builder covered at three modes.
+        mixed = 0.5 * (thermal_state((0.1, 0.15, 0.05), 8)
+                       + thermal_state((0.15, 0.05, 0.1), 8))
         probs = np.pad(rng.dirichlet(np.ones(8)), (0, 12))
         probs[3] = 0.0
         negative = np.diag(probs / probs.sum())
@@ -402,6 +413,7 @@ class TestErNumeric:
             (sparse_diagonal_state(rng, 10, ((5, 3), (2, 6))), (0.15, 0.3)),
             (thermal_state((0.1, 0.15, 0.05), 7), (0.15, 0.1, 0.12)),
             (negative, 0.3),
+            (mixed, (0.15, 0.1, 0.12)),
         ]
         for rho, noise in cases:
             modes = np.size(noise)
@@ -500,12 +512,21 @@ class TestWorkerThreads:
             sys.setswitchinterval(interval)
 
     def test_two_mode_monte_carlo(self, monkeypatch):
-        # full rank 256 at dim 16: three outcomes per chunk on two workers
-        rho = thermal_state((0.2, 0.3), 16)
+        # full rank 256 at dim 16, no product (the diagonal of a mixture of
+        # two product thermal states): three outcomes per chunk on two
+        # workers.  The product state itself runs mode by mode, in one chunk.
+        mixed = 0.5 * (thermal_state((0.2, 0.3), 16) + thermal_state((0.3, 0.2), 16))
+        rho = np.diag(np.diag(mixed) / np.trace(mixed).real)
         grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
-        serial, no_pool = self.run(monkeypatch, 1, rho, (0.1, 0.3), grid)
-        pooled, pools = self.run(monkeypatch, 2, rho, (0.1, 0.3), grid)
+        serial, no_pool = self.run(monkeypatch, 1, rho, (0.1, 0.3), grid,
+                                   mass_tol=math.inf)
+        pooled, pools = self.run(monkeypatch, 2, rho, (0.1, 0.3), grid,
+                                 mass_tol=math.inf)
         assert no_pool == [] and pools == [2]
+        assert pooled == serial
+        product = thermal_state((0.2, 0.3), 16)
+        serial, _ = self.run(monkeypatch, 1, product, (0.1, 0.3), grid)
+        pooled, _ = self.run(monkeypatch, 2, product, (0.1, 0.3), grid)
         assert pooled == serial
 
     def test_two_mode_non_product_diagonal(self, monkeypatch, rng):
@@ -574,8 +595,8 @@ class TestDistinctRadii:
         # equal bit for bit, as the Gram builder reads only |z_k|
         kernel = fockoracle._er_outcome_terms
 
-        def per_point(support, factor, dim, noise, points, base):
-            terms = [kernel(support, factor, dim, noise, points[i : i + 1], base)
+        def per_point(support, factor, dim, noise, points):
+            terms = [kernel(support, factor, dim, noise, points[i : i + 1])
                      for i in range(points.shape[0])]
             return tuple(np.concatenate(part) for part in zip(*terms))
 
@@ -610,6 +631,43 @@ class TestDistinctRadii:
         rho = random_low_energy_state(rng, 12, 40)
         _, count = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
         assert count == 209
+
+
+class TestProductSplit:
+    """A product state is integrated mode by mode; any other takes the joint kernel."""
+
+    @staticmethod
+    def widths(monkeypatch, rho, noise, grid):
+        """The widths of the posterior spectra ``er_numeric`` takes."""
+        widths = set()
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            widths.add(a.shape[-1])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        er_numeric(rho, noise, grid, mass_tol=math.inf)
+        return widths
+
+    def test_product_takes_one_mode_spectra(self, monkeypatch):
+        grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
+        widths = self.widths(monkeypatch, thermal_state((0.2, 0.3), 16), (0.1, 0.3), grid)
+        assert max(widths) <= 16
+
+    def test_non_products_take_the_joint_kernel(self, monkeypatch, rng):
+        # the beam-splitter state, a non-product diagonal state, and a product
+        # thermal state moved off the product by 1e-9 in two entries (trace
+        # kept): each takes spectra as wide as its support
+        perturbed = thermal_state((0.2, 0.25), 10)
+        perturbed[0, 0] += 1e-9
+        perturbed[1, 1] -= 1e-9
+        sparse = sparse_diagonal_state(rng, 10, ((5, 3), (2, 6)))
+        grid = monte_carlo_grid(np.diag([1.1, 1.2]), 12, seed=4)
+        for rho, noise in ((beam_splitter_state(6), (0.05, 0.1)),
+                           (sparse, (0.15, 0.3)), (perturbed, (0.15, 0.3))):
+            support = np.count_nonzero(np.abs(rho).sum(axis=0))
+            assert self.widths(monkeypatch, rho, noise, grid) == {support}
 
 
 class TestMoments:
