@@ -20,8 +20,8 @@ the outcome's number phase ``e^{-i sum_k phi_k n_k}`` on each row.  A
 number-diagonal state ``diag(a^2)`` drops every phase: its Gram matrix is
 ``(a a^T)`` times ``P`` entry by entry, its spectrum is taken in real
 arithmetic, and it depends on the outcome only through the radii ``|z_k|``,
-so the kernel takes one spectrum per distinct radius tuple and copies it to
-every outcome that shares it (33 spectra for the 209 outcomes inside the
+so the kernel takes one spectrum per distinct radius tuple, and its entropy
+serves every outcome that shares it (33 spectra for the 209 outcomes inside the
 validity radius of the default grid at dim 40, noise 1).  The
 measurement acts mode by mode, so a product state has a product posterior at
 every outcome: when the one-mode marginals of a multimode state recompose it
@@ -556,7 +556,7 @@ def _er_outcome_terms(
     dim: int,
     noise: np.ndarray,
     points: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-point density ``p`` and normalized posterior spectrum of an ``s``-mode state.
 
     ``points`` has shape ``(n, s)``, ``noise`` one occupation per mode and
@@ -583,9 +583,10 @@ def _er_outcome_terms(
     ``G = (a a^T) o P[S, S]`` (``o`` entry by entry) is real.  That ``G``
     depends on ``z`` only through the radii ``|z_k|``, so it is built for
     the distinct radius tuples of ``points`` (``np.unique`` on ``|points|``,
-    exact float equality) and the results are copied back to every point;
-    the values are those of a point-by-point evaluation, bit for bit.  A
-    general state runs on every point.
+    exact float equality), and ``rows`` maps every point to its tuple's
+    row of the results; the values are those of a point-by-point
+    evaluation, bit for bit.  A general state runs on every point, and
+    ``rows`` is ``arange(n)``.
 
     Chunks in flight hold at most ``CHUNK_ENTRIES`` entries of the larger
     per-outcome stack: ``r^2`` for ``G`` or ``dim u_k`` for ``X_k``.  Each
@@ -594,10 +595,11 @@ def _er_outcome_terms(
     entries; each mode's gathered block and their product ``P[S, S]`` are
     written there as reals with ``out=``.
 
-    Returns the density ``p = tr G`` and the spectrum of ``G / p``, one row
-    of ``r`` eigenvalues per point, roundoff-negative ones included.  A point
-    whose ``p`` is below :data:`P_MIN` gets ``p = 0`` and a zero row, and its
-    ``G`` is never diagonalized.  The entropy, with its floor, is taken by
+    Returns ``(p, spectra, rows)``: the density ``p = tr G`` and the spectrum
+    of ``G / p``, one row of ``r`` eigenvalues per integrated point,
+    roundoff-negative ones included, and each point's row.  A point whose
+    ``p`` is below :data:`P_MIN` gets ``p = 0`` and a zero row, and its ``G``
+    is never diagonalized.  The entropy, with its floor, is taken by
     :func:`er_numeric`, so the kernel serves a whole state and each mode of a
     product state alike.
     """
@@ -683,7 +685,7 @@ def _er_outcome_terms(
             list(pool.map(integrate, range(workers)))
     else:
         integrate(0)
-    return density[inverse], spectra[inverse]
+    return density, spectra, inverse
 
 
 def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -706,7 +708,9 @@ def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return support, w, u * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _product_marginals(rho: np.ndarray, dim: int, modes: int) -> Optional[list]:
+def _product_marginals(
+    rho: np.ndarray, dim: int, modes: int
+) -> Optional[list[np.ndarray]]:
     """Unit-trace one-mode marginals ``m_k`` when ``rho = tr(rho) (x)_k m_k``.
 
     ``m_k = Tr_{!=k} rho / tr rho``; ``rho`` counts as their product when the
@@ -782,26 +786,30 @@ def er_numeric(
     inside = points[idx]
     marginals = _product_marginals(rho, dim, modes) if modes > 1 else None
     if marginals is None:
-        p, spectra = _er_outcome_terms(support, factor, dim, noise_arr, inside)
+        p, spectra, rows = _er_outcome_terms(support, factor, dim, noise_arr, inside)
     else:
         # every posterior is the product of the modes' posteriors: multiply
         # their densities and take the outer product of their spectra
         p, spectra = np.trace(rho).real, np.ones((idx.size, 1))
         for k, marginal in enumerate(marginals):
             support_k, _, factor_k = _factor(marginal)
-            p_k, spectra_k = _er_outcome_terms(
+            p_k, spectra_k, rows_k = _er_outcome_terms(
                 support_k, factor_k, dim, noise_arr[k : k + 1], inside[:, k : k + 1]
             )
-            p = p * p_k
-            spectra = (spectra[:, :, None] * spectra_k[:, None, :]).reshape(idx.size, -1)
+            p = p * p_k[rows_k]
+            spectra = (spectra[:, :, None] * spectra_k[rows_k, None, :]).reshape(idx.size, -1)
+        rows = np.arange(idx.size)
+    # one entropy per integrated row; rows maps the outcomes onto them
     keep = p >= P_MIN
-    idx, p, spectra = idx[keep], p[keep], spectra[keep]
+    spectra = spectra[keep]
     # roundoff-negative eigenvalues fall under the floor with the rest
     logs = np.where(spectra > ENTROPY_FLOOR, np.log(np.maximum(spectra, ENTROPY_FLOOR)), 0.0)
+    p_entropy = np.zeros(p.size)
+    p_entropy[keep] = p[keep] * (-(spectra * logs).sum(axis=1) / base.ln_base)
     density = np.zeros(n)
     density_entropy = np.zeros(n)
-    density[idx] = p
-    density_entropy[idx] = p * (-(spectra * logs).sum(axis=1) / base.ln_base)
+    density[idx] = np.where(keep, p, 0.0)[rows]
+    density_entropy[idx] = p_entropy[rows]
     total_mass = float(np.sum(grid.weights * density))
     if abs(total_mass - 1.0) > mass_tol:
         raise GridMassDeficit(

@@ -598,7 +598,8 @@ class TestDistinctRadii:
         def per_point(support, factor, dim, noise, points):
             terms = [kernel(support, factor, dim, noise, points[i : i + 1])
                      for i in range(points.shape[0])]
-            return tuple(np.concatenate(part) for part in zip(*terms))
+            density, spectra, _ = (np.concatenate(part) for part in zip(*terms))
+            return density, spectra, np.arange(points.shape[0])
 
         mixture = np.diag(np.pad(rng.dirichlet(np.ones(12)), (0, 28)))
         mc = monte_carlo_grid(np.diag([1.35, 1.6]), 12, seed=4)
