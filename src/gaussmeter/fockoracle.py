@@ -21,8 +21,8 @@ number-diagonal state ``diag(a^2)`` drops every phase: its Gram matrix is
 ``(a a^T)`` times ``P`` entry by entry, its spectrum is taken in real
 arithmetic, and it depends on the outcome only through the radii ``|z_k|``,
 so the kernel takes one spectrum per distinct radius tuple, and its entropy
-serves every outcome that shares it (33 spectra for the 209 outcomes inside the
-validity radius of the default grid at dim 40, noise 1).  The
+serves every outcome that shares it (33 spectra for the 209 outcomes inside
+the validity radius of the default grid at dim 40, noise 1).  The
 measurement acts mode by mode, so a product state has a product posterior at
 every outcome: when the one-mode marginals of a multimode state recompose it
 to within :data:`PRODUCT_TOL` of ``max |rho|``, the kernel runs once per mode
@@ -30,10 +30,11 @@ on that mode's marginal and outcome column, and the posterior's density and
 spectrum are the product and the outer product of the modes' (two batches of
 ``16 x 16`` spectra in place of one ``256 x 256`` eigenproblem per outcome
 for a dim-16 two-mode thermal state).  Any other state, whose posterior does
-not factor, takes the joint kernel.  The quadrature rule is the grid's: for one mode a Gauss-Hermite tensor rule
-scaled to the outcome distribution, or a Cartesian trapezoid grid, each with
-a coarser companion rule whose difference is the error estimate; for two
-modes seeded importance-sampling Monte Carlo, with its standard error.
+not factor, takes the joint kernel.  The quadrature rule is the grid's: for
+one mode a Gauss-Hermite tensor rule scaled to the outcome distribution, or
+a Cartesian trapezoid grid, each with a coarser companion rule whose
+difference is the error estimate; for two modes seeded importance-sampling
+Monte Carlo, with its standard error.
 Chunks of outcomes run on ``GAUSSMETER_THREADS`` worker threads (default 1);
 each writes only its own outcomes, and the chunks in flight together hold at
 most ``CHUNK_ENTRIES`` entries of the larger per-outcome stack (one outcome
@@ -81,8 +82,9 @@ ENTROPY_FLOOR = 1e-14
 
 # A multimode state counts as a product of its one-mode marginals when their
 # recomposition ``tr(rho) (x)_k m_k`` matches it to this fraction of
-# ``max |rho|`` in every entry.  Exact products recompose to within a few ulp
-# (0.3-5 eps on thermal and random low-energy products of two and three modes).
+# ``max |rho|`` in every entry.  Exact products recompose to within 5 eps of
+# it (thermal and random low-energy products of two and three modes); a 1e-9
+# departure from a product fails.
 PRODUCT_TOL = 1e-14
 
 # Bound on the unrepresented tail of a truncated thermal state, per mode.
@@ -557,7 +559,7 @@ def _er_outcome_terms(
     noise: np.ndarray,
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point density ``p`` and normalized posterior spectrum of an ``s``-mode state.
+    """Density and normalized posterior spectrum at each point, ``s`` modes.
 
     ``points`` has shape ``(n, s)``, ``noise`` one occupation per mode and
     ``dim`` is the truncation per mode.  The state lives on the ``r`` number
@@ -797,13 +799,15 @@ def er_numeric(
                 support_k, factor_k, dim, noise_arr[k : k + 1], inside[:, k : k + 1]
             )
             p = p * p_k[rows_k]
-            spectra = (spectra[:, :, None] * spectra_k[rows_k, None, :]).reshape(idx.size, -1)
+            spectra = spectra[:, :, None] * spectra_k[rows_k, None, :]
+            spectra = spectra.reshape(idx.size, -1)
         rows = np.arange(idx.size)
     # one entropy per integrated row; rows maps the outcomes onto them
     keep = p >= P_MIN
     spectra = spectra[keep]
     # roundoff-negative eigenvalues fall under the floor with the rest
-    logs = np.where(spectra > ENTROPY_FLOOR, np.log(np.maximum(spectra, ENTROPY_FLOOR)), 0.0)
+    logs = np.where(spectra > ENTROPY_FLOOR,
+                    np.log(np.maximum(spectra, ENTROPY_FLOOR)), 0.0)
     p_entropy = np.zeros(p.size)
     p_entropy[keep] = p[keep] * (-(spectra * logs).sum(axis=1) / base.ln_base)
     density = np.zeros(n)
