@@ -35,13 +35,12 @@ one mode a Gauss-Hermite tensor rule scaled to the outcome distribution, or
 a Cartesian trapezoid grid, each with a coarser companion rule whose
 difference is the error estimate; for two modes seeded importance-sampling
 Monte Carlo, with its standard error.
-Chunks of outcomes run on ``GAUSSMETER_THREADS`` worker threads (default 1);
-each writes only its own outcomes, and the chunks in flight together hold at
-most ``CHUNK_ENTRIES`` entries of the larger per-outcome stack (one outcome
-per worker at the least).  Each call allocates one workspace of
-``CHUNK_ENTRIES`` complex entries, split into one slot per worker, and writes
-its largest stacks there, so every call makes the same large allocation
-whatever its grid, state or predecessor.
+The kernel integrates its outcomes chunk by chunk in the calling thread,
+each chunk holding at most ``CHUNK_ENTRIES`` entries of the larger
+per-outcome stack (one outcome at the least); BLAS threads are its only
+parallelism.  Each call allocates one workspace of ``CHUNK_ENTRIES`` complex
+entries and writes its largest stacks there, so every call makes the same
+large allocation whatever its grid, state or predecessor.
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -51,9 +50,7 @@ against the quadrature mass budget; see :func:`validity_radius`.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
@@ -87,15 +84,15 @@ ENTROPY_FLOOR = 1e-14
 # departure from a product fails.
 PRODUCT_TOL = 1e-14
 
-# Bound on the unrepresented tail of a truncated thermal state, per mode.
+# Bound on the unrepresented tail of a truncated thermal state or product.
 TAIL_TOL = 1e-6
 
-# Entries in flight across all workers of the larger per-outcome stack: the
-# Gram matrix (``r^2`` per outcome) or a mode's ``X_k`` (``dim u_k``).  256
-# full-width one-mode outcomes at dim 40.  Bounds the kernel's working memory
-# at any mode count, support size and worker count.  It is also the size, in
-# complex entries, of the workspace that every call allocates (larger only when
-# a single outcome's stack exceeds a worker's share).  A fixed size is the
+# Entries of the larger per-outcome stack in one chunk: the Gram matrix
+# (``r^2`` per outcome) or a mode's ``X_k`` (``dim u_k``).  256 full-width
+# one-mode outcomes at dim 40.  Bounds the kernel's working memory at any mode
+# count and support size.  It is also the size, in complex entries, of the
+# workspace that every call allocates (larger only when a single outcome's
+# stack exceeds it).  A fixed size is the
 # point: glibc's malloc maps a block at or above its mmap threshold on its own
 # and unmaps it on free, so its pages fault afresh on every use, and it raises
 # the threshold to the size of each such block it frees.  The workspace sets
@@ -110,17 +107,6 @@ CHUNK_ENTRIES = 256 * 40 * 40
 # the accuracy (values wander by about 1e-6 on rank-12 states from 16 to 32).
 HERMITE_NODES = 20
 HERMITE_COMPANION_NODES = 15
-
-
-def thread_cap() -> int:
-    """Chunk workers of :func:`er_numeric`: ``GAUSSMETER_THREADS``, else 1."""
-    raw = os.environ.get("GAUSSMETER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -188,14 +174,16 @@ def thermal_state(mean_number, dim: int) -> np.ndarray:
         dim: per-mode truncation dimension.
 
     Raises:
-        TruncationTooSmall: if the discarded geometric tail of a mode
-            exceeds :data:`TAIL_TOL`.
+        TruncationTooSmall: if the discarded mass exceeds :data:`TAIL_TOL`:
+            the geometric tail ``t_k`` of a mode, or the product's
+            ``1 - prod_k (1 - t_k)``, which is larger.
     """
     means = np.atleast_1d(np.asarray(mean_number, dtype=float))
-    out = np.diag(_thermal_diagonal(means[0], dim)).astype(complex)
-    for mean in means[1:]:
-        out = np.kron(out, np.diag(_thermal_diagonal(mean, dim)))
-    return out
+    diagonals = [_thermal_diagonal(mean, dim) for mean in means]
+    missing = 1.0 - math.prod(d.sum() for d in diagonals)
+    if missing > TAIL_TOL:
+        raise TruncationTooSmall(f"thermal product tail mass {missing:.2e} exceeds {TAIL_TOL:.0e}")
+    return reduce(np.kron, [np.diag(d) for d in diagonals]).astype(complex)
 
 
 @lru_cache(maxsize=8)
@@ -268,8 +256,11 @@ def povm_density(noise, z, dim: int) -> np.ndarray:
 
 
 def _as_density(rho) -> np.ndarray:
-    """``rho`` as a complex array, rejected before any work if not finite."""
+    """``rho`` as a complex array, rejected before any work unless it is a
+    finite square matrix."""
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DimensionMismatch(f"a state must be a square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("density operator has non-finite entries")
     return rho
@@ -294,7 +285,8 @@ def _spectrum_entropy(w: np.ndarray, base: LogBase) -> float:
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit trace and positivity of a state."""
+    """Check shape (``DimensionMismatch``), finiteness, Hermiticity, unit
+    trace and positivity (``ValueError``) of a state."""
     rho = _as_density(rho)
     _check_density(rho, np.linalg.eigvalsh(rho))
     return rho
@@ -344,8 +336,9 @@ def posterior_state(rho: np.ndarray, noise, z) -> tuple[np.ndarray, float]:
 
     Raises:
         ValueError: when ``rho`` or ``z`` is not finite.
-        DimensionMismatch: when the state's dimension is not a power of the
-            mode count of ``z``, or ``noise`` has neither 1 nor ``s`` entries.
+        DimensionMismatch: when the state is not a square matrix, its
+            dimension is not a power of the mode count of ``z``, or ``noise``
+            has neither 1 nor ``s`` entries.
         NegligibleOutcome: when ``p`` falls below :data:`P_MIN`.
     """
     rho = _as_density(rho)
@@ -382,10 +375,12 @@ def gauge_average(rho: np.ndarray, modes: int = 1) -> np.ndarray:
     moments are annihilated.
 
     Raises:
-        DimensionMismatch: when ``modes`` is not positive or the state's
-            dimension is not a ``modes`` power.
+        ValueError: when the state is not finite.
+        DimensionMismatch: when the state is not a square matrix, ``modes``
+            is not positive, or the state's dimension is not a ``modes``
+            power.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_density(rho)
     dim = _mode_dimension(rho, modes)
     if modes == 1:
         return np.diag(np.diag(rho))
@@ -420,10 +415,12 @@ class OutcomeGrid:
             values = getattr(self, name)
             if values is not None and not np.isfinite(values).all():
                 raise ValueError(f"outcome grid {name} must be finite")
+        for name in ("weights", "coarse"):
+            values = getattr(self, name)
+            if values is not None and np.shape(values) != self.points.shape[:1]:
+                raise ValueError(f"outcome grid {name} must hold one entry per point")
         if np.any(self.weights < 0.0):
             raise ValueError("quadrature weights must be nonnegative")
-        if self.points.shape[0] != self.weights.shape[0]:
-            raise ValueError("points and weights must have equal length")
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
@@ -590,12 +587,11 @@ def _er_outcome_terms(
     evaluation, bit for bit.  A general state runs on every point, and
     ``rows`` is ``arange(n)``.
 
-    Chunks in flight hold at most ``CHUNK_ENTRIES`` entries of the larger
-    per-outcome stack: ``r^2`` for ``G`` or ``dim u_k`` for ``X_k``.  Each
-    call allocates one workspace of ``CHUNK_ENTRIES`` complex entries (see
-    that constant) and gives each worker a slot of ``chunk x per-outcome``
-    entries; each mode's gathered block and their product ``P[S, S]`` are
-    written there as reals with ``out=``.
+    Chunks hold at most ``CHUNK_ENTRIES`` entries of the larger per-outcome
+    stack, ``r^2`` for ``G`` or ``dim u_k`` for ``X_k``, and write each
+    mode's gathered block and their product ``P[S, S]`` as reals into one
+    workspace of ``CHUNK_ENTRIES`` complex entries (see that constant).  The
+    chunk size changes no bit of the results.
 
     Returns ``(p, spectra, rows)``: the density ``p = tr G`` and the spectrum
     of ``G / p``, one row of ``r`` eigenvalues per integrated point,
@@ -610,6 +606,7 @@ def _er_outcome_terms(
     theta, v = _displacement_basis(dim)
     roots = [np.sqrt(_thermal_diagonal(nbar, dim))[:, None] * v
              for nbar in noise]
+    levels = np.array(np.unravel_index(support, (dim,) * modes))
     diagonal = factor.ndim == 1
     if diagonal:
         # G reads only |z_k|: integrate each distinct radius tuple once
@@ -618,8 +615,10 @@ def _er_outcome_terms(
     else:
         inverse = np.arange(points.shape[0])
         amplitudes = 1.0  # the blocks' product is P[S, S] itself
+        # each row's phase sum_k phi_k n_k for every point at once: numpy
+        # rounds a one-point product differently, so chunk sizes would show
+        phases = np.angle(points) @ levels
     # per mode: the support's levels, and P[S, S]'s flat index into X_k^T X_k
-    levels = np.array(np.unravel_index(support, (dim,) * modes))
     blocks = []
     for level in levels:
         used, pos = np.unique(level, return_inverse=True)
@@ -627,20 +626,17 @@ def _er_outcome_terms(
         blocks.append((v.conj().T[:, used], flat))
     per_outcome = max(rank * rank, dim * max(b.shape[1] for b, _ in blocks))
     n = points.shape[0]
-    workers = thread_cap()
-    chunk = max(1, CHUNK_ENTRIES // (per_outcome * workers))
-    # one slot of the workspace per worker; it outgrows CHUNK_ENTRIES only
-    # when a single outcome does
-    slot = chunk * per_outcome
-    work = np.empty(max(CHUNK_ENTRIES, workers * slot), dtype=complex)
+    chunk = max(1, CHUNK_ENTRIES // per_outcome)
+    work = np.empty(max(CHUNK_ENTRIES, per_outcome), dtype=complex)
     density = np.zeros(n)
     spectra = np.zeros((n, rank))
 
-    def gram_stack(zs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def gram_stack(rows: slice) -> np.ndarray:
+        zs = points[rows]
         m = zs.shape[0]
-        # two real (point, r^2) stacks in ``out``: each mode gathers into one
+        # two real (point, r^2) stacks in ``work``: each mode gathers into one
         # and multiplies it in place by the product so far, held in the other
-        stacks = out.view(float)[: 2 * m * rank * rank].reshape(2, m, -1)
+        stacks = work.view(float)[: 2 * m * rank * rank].reshape(2, m, -1)
         gram = amplitudes
         for k, (root, (vd, flat), r) in enumerate(zip(roots, blocks, np.abs(zs).T)):
             # x: the real X_k of every point, as (point, level, dim)
@@ -658,35 +654,19 @@ def _er_outcome_terms(
         # W_phi: W with the phase e^{-i sum_k phi_k n_k} on each row.  P W_phi
         # is taken in real arithmetic on its interleaved real and imaginary
         # parts; W_phi^dag then conjugates W_phi in place, not in a copy
-        w_phi = np.exp(-1j * (np.angle(zs) @ levels))[:, :, None] * factor
+        w_phi = np.exp(-1j * phases[rows])[:, :, None] * factor
         product = (gram @ w_phi.view(float)).view(complex)
         return np.swapaxes(np.conjugate(w_phi, out=w_phi), 1, 2) @ product
 
-    starts = range(0, n, chunk)
-    pending = iter(starts)
-
-    def integrate(worker: int) -> None:
-        """Fill the outputs chunk by chunk, each chunk's largest stacks in the
-        ``worker``'s slot of ``work``.  The workers draw their chunks from one
-        iterator (each draw is atomic under the GIL), so a worker that gets
-        its core back late takes fewer chunks."""
-        out = work[worker * slot : (worker + 1) * slot]
-        for start in pending:
-            gram = gram_stack(points[start : start + chunk], out)
-            ps = np.einsum("kii->k", gram).real
-            keep = ps >= P_MIN
-            if not np.any(keep):
-                continue
-            idx = np.nonzero(keep)[0] + start
-            density[idx] = ps[keep]
-            spectra[idx] = np.linalg.eigvalsh(gram[keep]) / ps[keep, None]
-
-    if workers > 1 and len(starts) > 1:
-        # numpy releases the GIL; each worker writes only its own outcomes
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(integrate, range(workers)))
-    else:
-        integrate(0)
+    for start in range(0, n, chunk):
+        gram = gram_stack(slice(start, start + chunk))
+        ps = np.einsum("kii->k", gram).real
+        keep = ps >= P_MIN
+        if not np.any(keep):
+            continue
+        idx = np.nonzero(keep)[0] + start
+        density[idx] = ps[keep]
+        spectra[idx] = np.linalg.eigvalsh(gram[keep]) / ps[keep, None]
     return density, spectra, inverse
 
 
@@ -769,8 +749,9 @@ def er_numeric(
 
     Raises:
         ValueError: when ``rho`` or ``noise`` is not finite.
-        DimensionMismatch: when the state's dimension is not a power of the
-            grid's mode count, or ``noise`` has neither 1 nor ``s`` entries.
+        DimensionMismatch: when the state is not a square matrix, its
+            dimension is not a power of the grid's mode count, or ``noise``
+            has neither 1 nor ``s`` entries.
         GridMassDeficit: when the integrated outcome probability misses 1
             by more than ``mass_tol``.
     """

@@ -1,6 +1,5 @@
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -101,6 +100,15 @@ class TestThermalState:
         rho = thermal_state([0.5, 0.5], 14)
         assert rho.shape == (196, 196)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-6)
+
+    def test_product_tail_guard(self):
+        # each mode's tail is 5.95e-7, within the bound; the product misses
+        # 1.19e-6 and would fail the unit-trace check of every consumer
+        assert 1.0 - np.trace(thermal_state(0.2, 8)).real < fockoracle.TAIL_TOL
+        with pytest.raises(TruncationTooSmall, match="product tail mass 1.19e-06"):
+            thermal_state((0.2, 0.2), 8)
+        # the largest product the suite and the benchmark take misses 6.9e-7
+        validate_density(thermal_state((0.1, 0.15, 0.05), 7))
 
 
 class TestDisplacement:
@@ -484,80 +492,60 @@ class TestErNumeric:
         np.testing.assert_array_equal(a.weights, b.weights)
 
 
-class TestWorkerThreads:
-    """The chunk loop gives bit-identical results on one worker and on several."""
+class TestChunking:
+    """``er_numeric`` runs in the calling thread, and its chunk size changes no bit."""
 
     @staticmethod
-    def run(monkeypatch, threads, rho, noise, grid, switch=None, **options):
-        """``er_numeric`` on ``threads`` workers, and the pool sizes it started.
+    def assert_chunking_invariant(monkeypatch, rho, noise, grid):
+        """``(value, estimate)`` on the default chunks, on chunks of one
+        outcome (``CHUNK_ENTRIES`` below any outcome's stack, so the workspace
+        is that stack) and on chunks of five full-support outcomes, equal."""
+        default = er_numeric(rho, noise, grid, mass_tol=math.inf)
+        support = np.count_nonzero(np.abs(rho).sum(axis=0))
+        for entries in (1, 5 * support**2):
+            monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", entries)
+            assert er_numeric(rho, noise, grid, mass_tol=math.inf) == default
+        monkeypatch.undo()
 
-        ``switch`` (seconds), when given, is the interpreter's switch interval
-        for the call; a short one interleaves the workers' writes.  ``options``
-        go to ``er_numeric``.
-        """
-        pools = []
+    def test_one_mode_thermal(self, monkeypatch):
+        # 1685 outcomes inside the validity radius on 202 distinct radii: one
+        # chunk by default.  The step 15/64 is exact in binary, so lattice
+        # points of equal |z| give equal floats.
+        self.assert_chunking_invariant(
+            monkeypatch, thermal_state(1.0, 40), 1.0, cartesian_grid(6.0, 15 / 64))
 
-        class SpyPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(fockoracle, "ThreadPoolExecutor", SpyPool)
-        monkeypatch.setenv("GAUSSMETER_THREADS", str(threads))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(switch or interval)
-        try:
-            return er_numeric(rho, noise, grid, **options), pools
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_two_mode_monte_carlo(self, monkeypatch):
-        # full rank 256 at dim 16, no product (the diagonal of a mixture of
-        # two product thermal states): three outcomes per chunk on two
-        # workers.  The product state itself runs mode by mode, in one chunk.
+    def test_two_mode_mixture(self, monkeypatch):
+        # full support 256 at dim 16, no product (the diagonal of a mixture of
+        # two product thermal states): 6 outcomes a chunk by default.  The
+        # product thermal state runs mode by mode, in one chunk a mode.
         mixed = 0.5 * (thermal_state((0.2, 0.3), 16) + thermal_state((0.3, 0.2), 16))
-        rho = np.diag(np.diag(mixed) / np.trace(mixed).real)
         grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
-        serial, no_pool = self.run(monkeypatch, 1, rho, (0.1, 0.3), grid,
-                                   mass_tol=math.inf)
-        pooled, pools = self.run(monkeypatch, 2, rho, (0.1, 0.3), grid,
-                                 mass_tol=math.inf)
-        assert no_pool == [] and pools == [2]
-        assert pooled == serial
-        product = thermal_state((0.2, 0.3), 16)
-        serial, _ = self.run(monkeypatch, 1, product, (0.1, 0.3), grid)
-        pooled, _ = self.run(monkeypatch, 2, product, (0.1, 0.3), grid)
-        assert pooled == serial
+        for rho in (np.diag(np.diag(mixed) / np.trace(mixed).real),
+                    thermal_state((0.2, 0.3), 16)):
+            self.assert_chunking_invariant(monkeypatch, rho, (0.1, 0.3), grid)
 
     def test_two_mode_non_product_diagonal(self, monkeypatch, rng):
         # the Gram builder of number-diagonal states on a support that is no
-        # level grid (130 of 256 states): 12 outcomes per chunk on two workers
+        # level grid (130 of 256 states): 24 outcomes a chunk by default
         rho = sparse_diagonal_state(rng, 16, ((12, 10), (6, 14)))
         grid = monte_carlo_grid(np.diag([1.7, 1.9]), 48, seed=5)
-        serial, no_pool = self.run(monkeypatch, 1, rho, (0.1, 0.3), grid,
-                                   mass_tol=math.inf)
-        pooled, pools = self.run(monkeypatch, 2, rho, (0.1, 0.3), grid,
-                                 mass_tol=math.inf)
-        assert no_pool == [] and pools == [2]
-        assert pooled == serial
+        self.assert_chunking_invariant(monkeypatch, rho, (0.1, 0.3), grid)
 
-    @pytest.mark.parametrize("threads", [2, 8])
-    def test_one_mode_thermal(self, monkeypatch, threads):
-        # 1685 outcomes inside the validity radius on 202 distinct radii: one
-        # chunk on one worker, 2 chunks on two, 7 on eight (more workers than
-        # cores).  The step 15/64 is exact in binary, so lattice points of
-        # equal |z| give equal floats.
-        rho = thermal_state(1.0, 40)
-        grid = cartesian_grid(6.0, 15 / 64)
-        serial, no_pool = self.run(monkeypatch, 1, rho, 1.0, grid)
-        pooled, pools = self.run(monkeypatch, threads, rho, 1.0, grid, switch=1e-6)
-        assert no_pool == [] and pools == [threads]
-        assert pooled == serial
+    def test_two_mode_dense(self, monkeypatch):
+        # a non-diagonal, non-product state on all 36 states at dim 6, so the
+        # phased factor W_phi crosses the chunk boundaries
+        grid = monte_carlo_grid(np.diag([1.1, 1.2]), 48, seed=4)
+        self.assert_chunking_invariant(monkeypatch, beam_splitter_state(6),
+                                       (0.05, 0.1), grid)
 
-    def test_one_chunk_starts_no_pool(self, monkeypatch, rng):
-        rho = random_low_energy_state(rng, 12, 40)
-        _, pools = self.run(monkeypatch, 2, rho, 1.0, default_grid(1.0, 1.0))
-        assert pools == []
+    def test_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        monkeypatch.setenv("GAUSSMETER_THREADS", "8")
+        er_numeric(thermal_state(1.0, 40), 1.0, cartesian_grid(6.0, 15 / 64))
+        assert started == []
 
 
 class TestDistinctRadii:
@@ -720,6 +708,10 @@ class TestGaugeAverage:
         assert averaged[1, dim] != 0.0
         assert averaged[0, 1] == 0.0
 
+    def test_rejects_non_finite_state(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            gauge_average(np.full((4, 4), np.nan))
+
     def test_rejects_bad_mode_count(self):
         with pytest.raises(DimensionMismatch):
             gauge_average(np.eye(10) / 10, modes=2)
@@ -799,6 +791,29 @@ def test_outcome_grid_rejects_non_finite_entries(field, bad):
     values[field][3] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         OutcomeGrid(scheme="cartesian-trapezoid", **values)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: er_numeric(np.eye(40, 39) / 39, 1.0, default_grid(1.0, 1.0)),
+    lambda: er_numeric(np.full(40, 1 / 40), 1.0, default_grid(1.0, 1.0)),
+    lambda: posterior_state(np.eye(4, 3) / 3, 0.5, 0.1),
+    lambda: validate_density(np.eye(4, 3)),
+    lambda: gauge_average(np.eye(4, 3)),
+], ids=["er_numeric-rectangular", "er_numeric-1d", "posterior_state",
+        "validate_density", "gauge_average"])
+def test_rejects_non_square_state(call):
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        call()
+
+
+@pytest.mark.parametrize("field, values", [
+    ("weights", np.ones((625, 2))), ("coarse", np.ones(5)),
+    ("coarse", np.ones((625, 1)))])
+def test_outcome_grid_rejects_misshapen_weights(field, values):
+    grid = default_grid(1.0, 1.0)
+    rules = {"weights": grid.weights, "coarse": grid.coarse, field: values}
+    with pytest.raises(ValueError, match=f"{field} must hold one entry per point"):
+        OutcomeGrid(grid.points, scheme="gauss-hermite", **rules)
 
 
 def test_validate_density_rejects_non_finite():
