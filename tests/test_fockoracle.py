@@ -548,6 +548,28 @@ class TestChunking:
         assert started == []
 
 
+class TestWorkerThreads:
+    """``GAUSSMETER_THREADS``, which only ``verify.thread_cap`` reads, changes
+    no bit of ``er_numeric``, whatever worker count it asks for."""
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_one_mode_thermal(self, monkeypatch, threads):
+        # 1685 outcomes inside the validity radius on 202 distinct radii, one
+        # chunk by default; here cut into ``threads`` chunks of 40 x 40 stacks
+        rho = thermal_state(1.0, 40)
+        grid = cartesian_grid(6.0, 15 / 64)
+        monkeypatch.delenv("GAUSSMETER_THREADS", raising=False)
+        unset = er_numeric(rho, 1.0, grid)
+        chunks = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: chunks.append(a.shape[0]) or eigvalsh(a))
+        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", -(-202 // threads) * 40**2)
+        monkeypatch.setenv("GAUSSMETER_THREADS", str(threads))
+        assert er_numeric(rho, 1.0, grid) == unset
+        assert len(chunks) == threads and sum(chunks) == 202
+
+
 class TestDistinctRadii:
     """Number-diagonal states integrate each distinct radius tuple once."""
 
