@@ -40,7 +40,7 @@ class EnergyConstraint:
     """Mean-energy constraint ``Sp(hamiltonian @ Lambda) <= budget``.
 
     ``hamiltonian`` is the positive definite Hermitian matrix of one-particle
-    energies; ``budget`` is the positive mean-energy bound.
+    energies; ``budget`` is the positive, finite mean-energy bound.
     """
 
     hamiltonian: np.ndarray
@@ -50,8 +50,10 @@ class EnergyConstraint:
         h = as_hermitian(self.hamiltonian)
         if np.linalg.eigvalsh(h).min() <= 1e-12:
             raise NotPositiveDefinite("energy matrix must be positive definite")
-        if not self.budget > 0.0:
-            raise InfeasibleConstraint(f"energy budget must be positive, got {self.budget}")
+        if not 0.0 < self.budget < math.inf:
+            raise InfeasibleConstraint(
+                f"energy budget must be positive and finite, got {self.budget}"
+            )
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "budget", float(self.budget))
 
@@ -135,8 +137,8 @@ def excess_limit(noise: float, base: LogBase = LogBase.BITS) -> float:
 
     ``log e - N log(1 + 1/N)``, which decays to zero for large noise.
     """
-    if not noise > 0.0:
-        raise InvalidRange(f"noise must be positive, got {noise}")
+    if not 0.0 < noise < math.inf:
+        raise InvalidRange(f"noise must be positive and finite, got {noise}")
     return (1.0 - noise * math.log1p(1.0 / noise)) / base.ln_base
 
 

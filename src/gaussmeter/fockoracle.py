@@ -11,8 +11,8 @@ number states with a nonzero row or column; ``D`` is the state dimension),
 and the posterior's nonzero spectrum at each outcome is that of an
 ``r x r`` Gram matrix over its trace.  Per mode, with ``z = r e^{i phi}``,
 ``D(z)^dag`` is the number phase ``e^{-i phi n}`` followed by ``D(r)^dag`` in
-the eigenbasis of ``i(a^dag - a)``, so no ``D x D`` operator is built.  The
-state is factored once per call as ``rho = W W^dag`` on its support, and
+the eigenbasis of ``i(a^dag - a)``, so no ``D x D`` operator is built.  Each
+part of the state (below) is factored once as ``W W^dag`` on its support, and
 the Gram matrix is ``W_phi^dag P W_phi``: ``P`` is the tensor product of
 real per-mode blocks ``X_k^T X_k`` with ``X_k = sqrt(rho_noise,k)
 D(|z_k|)^dag``, on the levels the support uses, and ``W_phi`` is ``W`` with
@@ -23,18 +23,16 @@ arithmetic, and it depends on the outcome only through the radii ``|z_k|``,
 so the kernel takes one spectrum per distinct radius tuple, and its entropy
 serves every outcome that shares it (33 spectra for the 209 outcomes inside
 the validity radius of the default grid at dim 40, noise 1).  The
-measurement acts mode by mode, so a product state has a product posterior at
-every outcome: when the one-mode marginals of a multimode state recompose it
-to within :data:`PRODUCT_TOL` of ``max |rho|``, the kernel runs once per mode
-on that mode's marginal and outcome column, and the posterior's density and
-spectrum are the product and the outer product of the modes' (two batches of
-``16 x 16`` spectra in place of one ``256 x 256`` eigenproblem per outcome
-for a dim-16 two-mode thermal state).  Any other state, whose posterior does
-not factor, takes the joint kernel.  The quadrature rule is the grid's: for
-one mode a Gauss-Hermite tensor rule scaled to the outcome distribution, or
-a Cartesian trapezoid grid, each with a coarser companion rule whose
-difference is the error estimate; for two modes seeded importance-sampling
-Monte Carlo, with its standard error.
+measurement acts mode by mode, so a state that its one-mode marginals
+recompose is split into one part per mode, each with its own posterior at
+every outcome; any other state is one part.  Each part is integrated on its
+own outcome columns, and the parts' results combine by products and outer
+products (a dim-16 two-mode thermal state takes two batches of ``16 x 16``
+spectra, and no ``256 x 256`` eigenproblem).  The quadrature rule is the
+grid's: for one mode a Gauss-Hermite tensor rule scaled to the outcome
+distribution, or a Cartesian trapezoid grid, each with a coarser companion
+rule whose difference is the error estimate; for two modes seeded
+importance-sampling Monte Carlo, with its standard error.
 The kernel integrates its outcomes chunk by chunk in the calling thread,
 each chunk holding at most ``CHUNK_ENTRIES`` entries of the larger
 per-outcome stack (one outcome at the least); BLAS threads are its only
@@ -404,8 +402,6 @@ class OutcomeGrid:
 
     points: np.ndarray
     weights: np.ndarray
-    scheme: str
-    seed: Optional[int] = None
     coarse: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -452,7 +448,6 @@ def cartesian_grid(radius: float, step: float) -> OutcomeGrid:
     return OutcomeGrid(
         points=(xs + 1j * ys).ravel(),
         weights=_trapezoid_weights(axis).ravel(),
-        scheme="cartesian-trapezoid",
         coarse=coarse.ravel(),
     )
 
@@ -501,7 +496,6 @@ def default_grid(mean_correlation: float, noise: float) -> OutcomeGrid:
     return OutcomeGrid(
         points=np.concatenate([fine_points, coarse_points]),
         weights=np.concatenate([fine, np.zeros(coarse.size)]),
-        scheme="gauss-hermite",
         coarse=np.concatenate([np.zeros(fine.size), coarse]),
     )
 
@@ -544,9 +538,7 @@ def monte_carlo_grid(
     dens = np.exp(-np.einsum("ni,ij,nj->n", points.conj(), sigma_inv, points).real)
     dens /= np.linalg.det(sigma).real
     weights = 1.0 / (n_samples * dens)
-    return OutcomeGrid(
-        points=points, weights=weights, scheme="monte-carlo", seed=seed
-    )
+    return OutcomeGrid(points=points, weights=weights)
 
 
 def _er_outcome_terms(
@@ -598,8 +590,7 @@ def _er_outcome_terms(
     roundoff-negative ones included, and each point's row.  A point whose
     ``p`` is below :data:`P_MIN` gets ``p = 0`` and a zero row, and its ``G``
     is never diagonalized.  The entropy, with its floor, is taken by
-    :func:`er_numeric`, so the kernel serves a whole state and each mode of a
-    product state alike.
+    :func:`er_numeric`, so the kernel serves every part of a state alike.
     """
     rank = support.size
     modes = points.shape[1]
@@ -690,25 +681,28 @@ def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return support, w, u * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _product_marginals(
-    rho: np.ndarray, dim: int, modes: int
-) -> Optional[list[np.ndarray]]:
-    """Unit-trace one-mode marginals ``m_k`` when ``rho = tr(rho) (x)_k m_k``.
+def _product_parts(rho: np.ndarray, dim: int, modes: int) -> list[np.ndarray]:
+    """Independent parts of a state: ``[rho]``, or one operator per mode.
 
-    ``m_k = Tr_{!=k} rho / tr rho``; ``rho`` counts as their product when the
-    recomposition differs from it by at most :data:`PRODUCT_TOL` times
-    ``max |rho|`` in every entry.  Returns ``None`` otherwise.
+    The parts are ``[tr(rho) m_0, m_1, ...]`` for the unit-trace marginals
+    ``m_k = Tr_{!=k} rho / tr rho`` when their Kronecker product ``R`` is
+    within :data:`PRODUCT_TOL` of ``max |rho|`` of ``rho`` in every entry.
+    ``R``'s spectrum stands in for ``rho``'s: by Weyl's bound they differ by
+    at most ``||rho - R||_2 <= D PRODUCT_TOL max |rho|`` (2.6e-12 at
+    ``D = 256``), inside the ``-1e-10`` positivity threshold for ``D < 10^4``.
     """
-    trace = np.trace(rho).real
-    marginals = []
+    trace = np.trace(rho).real if modes > 1 else 0.0
+    if trace == 0.0:  # one mode, or no state: the trace check rejects it
+        return [rho]
+    parts = []
     for k in range(modes):
         # rows and columns split as (modes before k, mode k, modes after k)
         shape = (dim**k, dim, dim ** (modes - k - 1)) * 2
-        marginals.append(np.einsum("aibajb->ij", rho.reshape(shape)) / trace)
-    recomposed = trace * reduce(np.kron, marginals)
-    if np.abs(recomposed - rho).max() > PRODUCT_TOL * np.abs(rho).max():
-        return None
-    return marginals
+        parts.append(np.einsum("aibajb->ij", rho.reshape(shape)) / trace)
+    parts[0] = trace * parts[0]
+    if np.abs(reduce(np.kron, parts) - rho).max() > PRODUCT_TOL * np.abs(rho).max():
+        return [rho]
+    return parts
 
 
 def er_numeric(
@@ -726,17 +720,13 @@ def er_numeric(
     probability charged to the mass deficit; outcomes with density below
     :data:`P_MIN` are skipped the same way.
 
-    A multimode state is tested for being the product ``tr(rho) (x)_k m_k``
-    of its unit-trace one-mode marginals ``m_k = Tr_{!=k} rho / tr rho``
-    (every entry within :data:`PRODUCT_TOL` of ``max |rho|``).  A product's
-    posterior at every outcome is the product of the modes' posteriors, so
-    each marginal is factored and integrated on its own mode's outcomes, the
-    outcome density is ``tr(rho) prod_k p_k``, and the posterior spectrum is
-    the outer product of the modes' normalized spectra.  :data:`P_MIN` then
-    applies to that product density and :data:`ENTROPY_FLOOR` to the product
-    spectrum, as they apply to the density and spectrum of a joint posterior.
-    Every other state, correlated ones among them, is integrated jointly:
-    its posterior does not factor.
+    Every state is a list of independent parts (:func:`_product_parts`),
+    each integrated on its own outcome columns.  ``H(rho)`` and the
+    positivity check read the outer product of the parts' spectra; an
+    outcome's density is the product of the parts' densities and its
+    posterior spectrum the outer product of theirs, once per distinct tuple
+    of the parts' rows, and :data:`P_MIN` and :data:`ENTROPY_FLOOR` apply
+    to those as to a joint posterior's.
 
     Args:
         noise: one occupation for every mode, or one per mode.
@@ -748,41 +738,46 @@ def er_numeric(
         bound: it misses truncation error and the validity-radius cut.
 
     Raises:
-        ValueError: when ``rho`` or ``noise`` is not finite.
+        ValueError: when ``rho`` or ``noise`` is not finite, ``rho`` is not
+            a density operator, or ``mass_tol`` is negative or NaN.
         DimensionMismatch: when the state is not a square matrix, its
             dimension is not a power of the grid's mode count, or ``noise``
             has neither 1 nor ``s`` entries.
         GridMassDeficit: when the integrated outcome probability misses 1
             by more than ``mass_tol``.
     """
+    if not mass_tol >= 0.0:
+        raise ValueError(f"mass tolerance must be nonnegative, got {mass_tol}")
     rho = _as_density(rho)
-    support, w, factor = _factor(rho)
-    _check_density(rho, w)
-    entropy_in = _spectrum_entropy(w, base)
     points = grid.points.reshape(grid.points.shape[0], -1)
     n, modes = points.shape
     dim = _mode_dimension(rho, modes)
     noise_arr = _mode_occupations(noise, modes)
+    factored = [_factor(part) for part in _product_parts(rho, dim, modes)]
+    w = reduce(np.multiply.outer, [w_k for _, w_k, _ in factored]).ravel()
+    _check_density(rho, w)
+    entropy_in = _spectrum_entropy(w, base)
 
     r_valid = min(validity_radius(dim, nbar) for nbar in noise_arr)
     idx = np.nonzero(np.abs(points).max(axis=1) <= r_valid)[0]
     inside = points[idx]
-    marginals = _product_marginals(rho, dim, modes) if modes > 1 else None
-    if marginals is None:
-        p, spectra, rows = _er_outcome_terms(support, factor, dim, noise_arr, inside)
-    else:
-        # every posterior is the product of the modes' posteriors: multiply
-        # their densities and take the outer product of their spectra
-        p, spectra = np.trace(rho).real, np.ones((idx.size, 1))
-        for k, marginal in enumerate(marginals):
-            support_k, _, factor_k = _factor(marginal)
-            p_k, spectra_k, rows_k = _er_outcome_terms(
-                support_k, factor_k, dim, noise_arr[k : k + 1], inside[:, k : k + 1]
-            )
-            p = p * p_k[rows_k]
-            spectra = spectra[:, :, None] * spectra_k[rows_k, None, :]
-            spectra = spectra.reshape(idx.size, -1)
-        rows = np.arange(idx.size)
+    width = modes // len(factored)
+    terms = [
+        _er_outcome_terms(support, factor, dim, noise_arr[k : k + width],
+                          inside[:, k : k + width])
+        for k, (support, _, factor) in zip(range(0, modes, width), factored)
+    ]
+    # each posterior is the product of the parts' posteriors: one entropy per
+    # distinct tuple of the parts' rows, with the product of their densities
+    # and the outer product of their spectra
+    p, spectra, rows = terms[0]
+    for p_k, spectra_k, rows_k in terms[1:]:
+        pairs, rows = np.unique(rows * p_k.size + rows_k, return_inverse=True)
+        first, second = np.divmod(pairs, p_k.size)
+        p = p[first] * p_k[second]
+        spectra = spectra[first, :, None] * spectra_k[second, None, :]
+        # the width is explicit: with no outcome inside the radius, -1 is unknown
+        spectra = spectra.reshape(pairs.size, spectra.shape[1] * spectra.shape[2])
     # one entropy per integrated row; rows maps the outcomes onto them
     keep = p >= P_MIN
     spectra = spectra[keep]

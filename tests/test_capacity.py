@@ -116,8 +116,9 @@ class TestExcessLimit:
         assert abs(direct - excess_limit(noise)) <= 1e-3
 
     def test_invalid(self):
-        with pytest.raises(InvalidRange):
-            excess_limit(0.0)
+        for noise in (0.0, math.inf):
+            with pytest.raises(InvalidRange):
+                excess_limit(noise)
 
 
 class TestCapacityOrdering:
@@ -216,8 +217,9 @@ class TestMultimode:
         )
 
     def test_infeasible_budget(self):
-        with pytest.raises(InfeasibleConstraint):
-            EnergyConstraint(np.eye(2), 0.0)
+        for budget in (0.0, math.inf):
+            with pytest.raises(InfeasibleConstraint, match="positive and finite"):
+                EnergyConstraint(np.eye(2), budget)
 
 
 def coupled_capacity():

@@ -158,6 +158,12 @@ class TestCapacity:
         assert main(["capacity", "--noise", noise, "--epsilon", noise,
                      "--energy", "0.0"]) == 2
 
+    def test_infinite_energy_exits_2(self, unit_files, capsys):
+        _, noise = unit_files
+        assert main(["capacity", "--noise", noise, "--epsilon", noise,
+                     "--energy", "inf"]) == 2
+        assert "energy budget must be positive and finite" in capsys.readouterr().err
+
 
 class TestSweep:
     def write_spec(self, tmp_path, **overrides):

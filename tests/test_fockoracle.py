@@ -328,8 +328,8 @@ class TestOutcomeRules:
         w1[[0, -1]] *= 0.5
         half = np.zeros((m, m))
         half[::2, ::2] = np.outer(w1, w1) / math.pi
-        fine, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, grid.weights, "fine"))
-        coarse, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, half.ravel(), "half"))
+        fine, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, grid.weights))
+        coarse, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, half.ravel()))
         assert value == fine
         assert estimate == pytest.approx(abs(fine - coarse), abs=1e-15)
 
@@ -363,6 +363,17 @@ class TestErNumeric:
         rho = thermal_state(1.0, 40)
         with pytest.raises(GridMassDeficit):
             er_numeric(rho, 1.0, cartesian_grid(2.0, 0.26))
+        # a product whose only outcome lies beyond the validity radius
+        beyond = OutcomeGrid(np.array([[9.0 + 0j, 9.0 + 0j]]), np.ones(1))
+        with pytest.raises(GridMassDeficit):
+            er_numeric(thermal_state((0.2, 0.3), 12), (0.1, 0.1), beyond)
+
+    @pytest.mark.parametrize("mass_tol", [math.nan, -1.0])
+    def test_rejects_invalid_mass_tolerance(self, mass_tol):
+        # a NaN tolerance would pass every mass check unread
+        with pytest.raises(ValueError, match="mass tolerance"):
+            er_numeric(thermal_state(1.0, 40), 1.0, default_grid(1.0, 1.0),
+                       mass_tol=mass_tol)
 
     def test_two_mode_monte_carlo(self):
         # occupations sized so the sampled outcomes stay inside the
@@ -395,7 +406,7 @@ class TestErNumeric:
                            (product, (0.15, 0.3))):
             points = 0.4 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
             weights = rng.uniform(0.5, 1.5, size=6)
-            grid = OutcomeGrid(points=points, weights=weights, scheme="monte-carlo")
+            grid = OutcomeGrid(points=points, weights=weights)
             value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
             expected = von_neumann_entropy(rho)
             for z, w in zip(points, weights):
@@ -428,7 +439,7 @@ class TestErNumeric:
             shape = (6, modes) if modes > 1 else (6,)
             points = 0.4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
             weights = rng.uniform(0.5, 1.5, size=6)
-            grid = OutcomeGrid(points=points, weights=weights, scheme="monte-carlo")
+            grid = OutcomeGrid(points=points, weights=weights)
             value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
             expected = von_neumann_entropy(rho)
             for z, w in zip(points, weights):
@@ -448,7 +459,7 @@ class TestErNumeric:
         for rho, noise, grid in cases:
             value, _ = er_numeric(rho, noise, grid, mass_tol=math.inf)
             phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=grid.points.shape[1:]))
-            turned = OutcomeGrid(grid.points * phases, grid.weights, grid.scheme)
+            turned = OutcomeGrid(grid.points * phases, grid.weights)
             rotated, _ = er_numeric(rho, noise, turned, mass_tol=math.inf)
             assert rotated == pytest.approx(value, abs=1e-12)
 
@@ -613,14 +624,16 @@ class TestDistinctRadii:
 
         mixture = np.diag(np.pad(rng.dirichlet(np.ones(12)), (0, 28)))
         mc = monte_carlo_grid(np.diag([1.35, 1.6]), 12, seed=4)
-        two_mode = OutcomeGrid(self.flipped(mc.points, rng),
-                               np.tile(mc.weights, 4) / 4, mc.scheme)
+        two_mode = OutcomeGrid(self.flipped(mc.points, rng), np.tile(mc.weights, 4) / 4)
         assert np.unique(np.abs(two_mode.points), axis=0).shape[0] == 12
         cases = [
             (thermal_state(1.0, 40), 1.0, default_grid(1.0, 1.0)),
             (mixture, 1.0, cartesian_grid(2.0, 0.5)),
             (sparse_diagonal_state(rng, 12, ((5, 4), (3, 6))), (0.15, 0.3),
              two_mode),
+            # a product, whose parts' rows pair up: per outcome alone, each
+            # outcome is its own pair
+            (thermal_state((0.2, 0.3), 16), (0.15, 0.3), two_mode),
         ]
         for rho, noise, grid in cases:
             whole = er_numeric(rho, noise, grid, mass_tol=math.inf)
@@ -665,6 +678,20 @@ class TestProductSplit:
         grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
         widths = self.widths(monkeypatch, thermal_state((0.2, 0.3), 16), (0.1, 0.3), grid)
         assert widths == {16}
+
+    def test_non_diagonal_product_factors_each_mode(self, monkeypatch, rng):
+        # two rank-12 marginals on 144 of the 256 states: each takes one
+        # 12-wide eigh, and the joint support none
+        rho = np.kron(random_low_energy_state(rng, 12, 16),
+                      random_low_energy_state(rng, 12, 16))
+        grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
+        fockoracle._displacement_basis(16)  # cache the basis: its eigh is no state's
+        widths = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: widths.append(a.shape[-1]) or eigh(a))
+        er_numeric(rho, (0.1, 0.3), grid, mass_tol=math.inf)
+        assert widths == [12, 12]
 
     def test_non_products_take_the_joint_kernel(self, monkeypatch, rng):
         # the beam-splitter state, a non-product diagonal state, and a product
@@ -770,6 +797,27 @@ def test_validate_density_rejects_bad_trace():
         validate_density(0.9 * thermal_state(0.0, 6))
 
 
+def test_er_numeric_rejects_invalid_states():
+    # er_numeric's own density checks: a negative eigenvalue, an asymmetry and
+    # a wrong trace on one mode; a two-mode product with a negative eigenvalue
+    # in one part, seen in the parts' spectra; and a two-mode state of trace 0
+    one_mode = default_grid(1.0, 1.0)
+    two_mode = monte_carlo_grid(np.diag([1.3, 1.6]), 12, seed=4)
+    skew = thermal_state(0.5, 20)
+    skew[0, 1] = 0.1
+    negative = np.diag(np.pad([0.6, 0.5, -0.1], (0, 5))).astype(complex)
+    cases = [
+        (np.diag(np.pad([1.1, -0.1], (0, 18))), one_mode, "eigenvalue -1.000e-01"),
+        (skew, one_mode, "asymmetry"),
+        (1.01 * thermal_state(0.5, 20), one_mode, "trace 1.0"),
+        (np.kron(negative, thermal_state(0.2, 8)), two_mode, "eigenvalue -8.333e-02"),
+        (np.zeros((64, 64)), two_mode, "trace 0.0"),
+    ]
+    for rho, grid, message in cases:
+        with pytest.raises(ValueError, match=message):
+            er_numeric(rho, 0.5, grid)
+
+
 def test_validity_radius_monotone():
     assert validity_radius(80, 1.0) > validity_radius(40, 1.0)
     assert validity_radius(40, 0.0) > validity_radius(40, 2.0)
@@ -800,7 +848,6 @@ def test_outcome_grid_rejects_negative_weights():
         OutcomeGrid(
             points=np.array([0.0j]),
             weights=np.array([-1.0]),
-            scheme="cartesian-trapezoid",
         )
 
 
@@ -812,7 +859,7 @@ def test_outcome_grid_rejects_non_finite_entries(field, bad):
               "coarse": grid.coarse.copy()}
     values[field][3] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        OutcomeGrid(scheme="cartesian-trapezoid", **values)
+        OutcomeGrid(**values)
 
 
 @pytest.mark.parametrize("call", [
@@ -835,7 +882,7 @@ def test_outcome_grid_rejects_misshapen_weights(field, values):
     grid = default_grid(1.0, 1.0)
     rules = {"weights": grid.weights, "coarse": grid.coarse, field: values}
     with pytest.raises(ValueError, match=f"{field} must hold one entry per point"):
-        OutcomeGrid(grid.points, scheme="gauss-hermite", **rules)
+        OutcomeGrid(grid.points, **rules)
 
 
 def test_validate_density_rejects_non_finite():
@@ -847,8 +894,7 @@ def test_validate_density_rejects_non_finite():
 
 def test_outcome_grid_rejects_empty_point_set():
     with pytest.raises(ValueError, match="at least one point"):
-        OutcomeGrid(points=np.zeros(0, dtype=complex), weights=np.zeros(0),
-                    scheme="cartesian-trapezoid")
+        OutcomeGrid(points=np.zeros(0, dtype=complex), weights=np.zeros(0))
     with pytest.raises(ValueError, match="at least one point"):
         monte_carlo_grid(np.eye(2), 0, seed=1)
 
