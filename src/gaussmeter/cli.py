@@ -16,6 +16,7 @@ whose Frank-Wolfe gap exceeds ``capacity.GAP_TOL``, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .capacity import (
 )
 from .errors import NumericalError, ValidationError
 from .gauge import GaugeMeasurement, GaugeState, entropy_reduction_gauge, posterior_params
-from .matfun import LogBase, symplectic_form, symplectic_spectrum
+from .matfun import LogBase
 from .symplectic import (
     GeneralMeasurement,
     RealCovariance,
@@ -42,9 +43,9 @@ from .verify import CASES, run_cases
 SCHEMA = "1"
 
 
-def _fmt(x: float) -> str:
-    """12 significant digits; round-trips through parsing idempotently."""
-    return f"{x:.11e}"
+# One CSV row of five values, each to 12 significant digits, which
+# round-trip through parsing idempotently.
+_CSV_ROW = ",".join(["%.11e"] * 5) + "\n"
 
 
 def _load_json(path: str):
@@ -139,14 +140,13 @@ def cmd_er_general(args) -> int:
     base = LogBase(args.base)
     meas = GeneralMeasurement(beta=beta)
     tilde = posterior_covariance(alpha, beta)
-    form = symplectic_form(alpha.s)
     result = {
         "schema": SCHEMA,
         "base": base.value,
         "er": entropy_reduction_general(alpha, meas, base),
         "alpha_tilde": _matrix_json(tilde.cov),
-        "spectrum_alpha": symplectic_spectrum(alpha.cov, form).tolist(),
-        "spectrum_alpha_tilde": symplectic_spectrum(tilde.cov, form).tolist(),
+        "spectrum_alpha": alpha.spectrum.tolist(),
+        "spectrum_alpha_tilde": tilde.spectrum.tolist(),
     }
     print(json.dumps(result))
     return 0
@@ -206,19 +206,14 @@ def load_sweep_spec(path: str):
 
 
 def format_sweep_csv(rows) -> str:
-    lines = ["N,E,C_ea,C,G"]
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(v) for v in (row.noise, row.energy, row.assisted,
-                                        row.unassisted, row.gain))
-        )
-    return "\n".join(lines) + "\n"
+    """The table of :class:`SweepPoint` rows as CSV, one ``_CSV_ROW`` each."""
+    values = tuple(itertools.chain.from_iterable(rows))
+    return "N,E,C_ea,C,G\n" + _CSV_ROW * len(rows) % values
 
 
 def _svg_chart(rows, width: int = 640, height: int = 440) -> str:
     """Line chart of the gain vs energy (log x axis), one polyline per noise."""
     margin = 60
-    noises = sorted({row.noise for row in rows})
     xs = [math.log10(row.energy) for row in rows]
     ys = [row.gain for row in rows]
     x_lo, x_hi = min(xs), max(xs)
@@ -261,16 +256,14 @@ def _svg_chart(rows, width: int = 640, height: int = 440) -> str:
         f'<text x="16" y="{height/2:.0f}" font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 16 {height/2:.0f})">gain</text>'
     )
-    for idx, noise in enumerate(noises):
-        pts = [
-            f"{px(math.log10(r.energy)):.2f},{py(r.gain):.2f}"
-            for r in rows
-            if r.noise == noise
-        ]
+    points = {}
+    for r, x in zip(rows, xs):
+        points.setdefault(r.noise, []).append(f"{px(x):.2f},{py(r.gain):.2f}")
+    for idx, noise in enumerate(sorted(points)):
         color = colors[idx % len(colors)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{" ".join(pts)}"/>'
+            f'points="{" ".join(points[noise])}"/>'
         )
         parts.append(
             f'<text x="{width-margin+6}" y="{margin+14*idx+10}" font-size="11" '

@@ -43,6 +43,10 @@ class DimensionMismatch(ValidationError):
     pass
 
 
+class NoModes(ValidationError):
+    """A matrix or form has no modes (``0 x 0``)."""
+
+
 class InvalidCovariance(ValidationError):
     pass
 

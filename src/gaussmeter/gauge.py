@@ -21,11 +21,13 @@ from .errors import (
     DimensionMismatch,
     DivisionDegenerate,
     NegativeEigenvalue,
+    NoModes,
     NotHermitian,
 )
-from .matfun import (
+from .matfun import (  # noqa: F401 (perfbench/selftest.py reads gauge.g_trace)
     EIG_CLIP,
     LogBase,
+    _psd_spectrum,
     as_hermitian,
     g_scalar,
     g_trace,
@@ -39,23 +41,33 @@ POSTERIOR_HERM_TOL = 1e-9
 CP_MARGIN_TOL = 1e-9
 
 
-def _check_psd(a: np.ndarray, w: np.ndarray, what: str) -> None:
-    """Reject ``a`` (with spectrum ``w``) if an eigenvalue is clearly negative."""
+def _check_psd(a: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
+    """Reject ``a`` (with spectrum ``w``) if it has no modes or an eigenvalue
+    is clearly negative; returns ``w`` clipped at 0."""
+    if w.size == 0:
+        raise NoModes(f"{what} is 0 x 0; at least one mode is needed")
     w_min = w.min(initial=0.0)
     if w_min < -EIG_CLIP * (1.0 + np.abs(a).max(initial=0.0)):
         raise NegativeEigenvalue(f"{what} has eigenvalue {w_min:.3e} < 0")
+    return np.clip(w, 0.0, None)
 
 
 @dataclass(frozen=True)
 class GaugeState:
-    """Phase-insensitive Gaussian state with correlation matrix ``Lambda >= 0``."""
+    """Phase-insensitive Gaussian state with correlation matrix ``Lambda >= 0``.
+
+    ``occupations`` holds the spectrum of ``Lambda``, clipped at 0, taken
+    once on construction.
+    """
 
     correlation: np.ndarray
+    occupations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_hermitian(self.correlation)
-        _check_psd(a, np.linalg.eigvalsh(a), "state correlation")
+        w = _check_psd(a, np.linalg.eigvalsh(a), "state correlation")
         object.__setattr__(self, "correlation", a)
+        object.__setattr__(self, "occupations", w)
 
     @property
     def s(self) -> int:
@@ -81,9 +93,8 @@ class GaugeMeasurement:
     def __post_init__(self):
         a = as_hermitian(self.noise)
         w, u = np.linalg.eigh(a)
-        _check_psd(a, w, "measurement noise")
         object.__setattr__(self, "noise", a)
-        object.__setattr__(self, "occupations", np.clip(w, 0.0, None))
+        object.__setattr__(self, "occupations", _check_psd(a, w, "measurement noise"))
         object.__setattr__(self, "_modes", u)
         for name, fn in (("grow", lambda x: np.sqrt(x * (x + 1.0))),
                          ("shrink", lambda x: np.sqrt(x / (x + 1.0)))):
@@ -149,7 +160,8 @@ def posterior_params(state: GaugeState, meas: GaugeMeasurement) -> GaugePosterio
     m_inv = np.linalg.inv(lam + meas.noise + np.eye(s))
     corr = meas.shrink @ lam @ m_inv @ meas.grow
     defect = np.abs(corr - corr.conj().T).max(initial=0.0)
-    if defect > POSTERIOR_HERM_TOL * (1.0 + np.abs(corr).max(initial=0.0)):
+    bound = POSTERIOR_HERM_TOL * (1.0 + np.abs(corr).max(initial=0.0))
+    if not defect <= bound < np.inf:  # a non-finite matrix fails too
         raise NotHermitian(f"posterior correlation defect {defect:.3e}")
     corr = (corr + corr.conj().T) / 2.0
     return GaugePosterior(gain=meas.grow @ m_inv, correlation=corr)
@@ -193,9 +205,13 @@ def entropy_reduction_gauge(
 
     Equals ``Sp g(Lambda) - Sp g(Ntilde)`` and coincides with the largest
     entropy reduction over all states sharing the correlation matrix.
+    ``g`` is taken over both spectra in one call; that of ``Lambda`` is the
+    state's ``occupations``.
     """
     post = posterior_params(state, meas)
-    return g_trace(state.correlation, base) - g_trace(post.correlation, base)
+    lam = state.occupations
+    g = g_scalar(np.concatenate((lam, _psd_spectrum(post.correlation))), base)
+    return float(g[:lam.size].sum() - g[lam.size:].sum())
 
 
 def sqrt_gaussian_params(meas: GaugeMeasurement) -> tuple[np.ndarray, float]:

@@ -18,8 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
+    InvalidRange,
     NegativeArgument,
     NegativeEigenvalue,
+    NoModes,
     NotHermitian,
     NotPositiveDefinite,
     NotSymmetric,
@@ -80,7 +83,7 @@ def as_hermitian(matrix, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise NotHermitian("matrix has non-finite entries")
     scale = 1.0 + np.abs(a).max(initial=0.0)
     asym = np.abs(a - a.conj().T).max(initial=0.0)
@@ -90,13 +93,17 @@ def as_hermitian(matrix, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
 
 
 def as_symmetric(matrix, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Validate and symmetrize a real square matrix."""
-    a = np.asarray(matrix, dtype=float)
+    """Validate and symmetrize a real square matrix (complex only if real-valued)."""
+    a = np.asarray(matrix)
+    if np.iscomplexobj(a) and np.any(a.imag != 0.0):
+        raise NotSymmetric("matrix has a nonzero imaginary part")
+    a = np.asarray(a.real, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NotSymmetric("matrix has non-finite entries")
+    # max|a| is NaN or inf exactly when an entry is, so one pass checks both
     scale = 1.0 + np.abs(a).max(initial=0.0)
+    if not math.isfinite(scale):
+        raise NotSymmetric("matrix has non-finite entries")
     asym = np.abs(a - a.T).max(initial=0.0)
     if asym > rtol * scale:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {rtol:.1e} * scale")
@@ -116,11 +123,14 @@ def g_scalar(x: float | np.ndarray, base: LogBase = LogBase.BITS) -> float | np.
 
     Raises:
         NegativeArgument: if an entry is below ``-1e-12`` or is NaN.
+        InvalidRange: if an entry is infinite.
     """
     x = np.asarray(x, dtype=float)
     low = x.min(initial=0.0)
     if not low >= -EIG_CLIP:
         raise NegativeArgument(f"g is undefined for x = {low}")
+    if x.max(initial=0.0) == np.inf:
+        raise InvalidRange("g is undefined for x = inf")
     # g(0) = 0 by continuity.  The form x log1p(1/x) + log1p(x) does not
     # cancel at large x, and 1/x is finite for every normal x.  It overflows
     # for subnormal x, where g = x(1 - ln x) to the last bit (the x^2 terms
@@ -155,13 +165,17 @@ def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray],
     return (u * fn(w)) @ u.conj().T
 
 
-def g_trace(matrix, base: LogBase = LogBase.BITS) -> float:
-    """Trace of ``g`` applied to a Hermitian PSD matrix (sum over spectrum)."""
-    a = as_hermitian(matrix)
+def _psd_spectrum(a: np.ndarray) -> np.ndarray:
+    """Clipped spectrum of a validated Hermitian PSD matrix; the core of g_trace."""
     w = np.linalg.eigvalsh(a)
     if w.min(initial=0.0) < -EIG_CLIP * (1.0 + abs(w).max(initial=0.0)):
         raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below clip tolerance")
-    return float(g_scalar(np.maximum(w, 0.0), base).sum())
+    return np.maximum(w, 0.0)
+
+
+def g_trace(matrix, base: LogBase = LogBase.BITS) -> float:
+    """Trace of ``g`` applied to a Hermitian PSD matrix (sum over spectrum)."""
+    return float(g_scalar(_psd_spectrum(as_hermitian(matrix)), base).sum())
 
 
 def psd_sqrt(matrix) -> np.ndarray:
@@ -182,7 +196,7 @@ class SymplecticForm:
 
     def __post_init__(self):
         if self.s < 1:
-            raise ValueError(f"mode count must be positive, got {self.s}")
+            raise NoModes(f"mode count must be positive, got {self.s}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -214,15 +228,26 @@ def symplectic_spectrum(alpha, form: SymplecticForm) -> np.ndarray:
 
     Raises:
         NotSymmetric: if ``alpha`` is not symmetric.
+        DimensionMismatch: if ``alpha`` is not ``2s x 2s`` for the form's ``s``.
         NotPositiveDefinite: if ``alpha`` is not positive definite.
         PairingFailure: if the doubled spectrum does not pair within
             tolerance (indicates a badly conditioned input).
     """
+    return _symplectic_spectrum(_as_covariance(alpha, form), form)
+
+
+def _as_covariance(alpha, form: SymplecticForm) -> np.ndarray:
+    """``alpha`` checked symmetric and ``2s x 2s`` for the form, symmetrized."""
     a = as_symmetric(alpha)
     if a.shape[0] != 2 * form.s:
-        raise NotPositiveDefinite(
+        raise DimensionMismatch(
             f"covariance is {a.shape[0]}x{a.shape[0]}, form expects {2 * form.s}"
         )
+    return a
+
+
+def _symplectic_spectrum(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
+    """:func:`symplectic_spectrum` of a validated symmetric ``2s x 2s`` matrix."""
     w, u = np.linalg.eigh(a)
     if w.min() <= EIG_CLIP * (1.0 + w.max(initial=0.0)):
         raise NotPositiveDefinite(f"minimum eigenvalue {w.min():.3e}")

@@ -11,6 +11,7 @@ parameters into this representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -20,11 +21,12 @@ from .gauge import GaugeMeasurement, GaugeState
 from .matfun import (
     LogBase,
     SymplecticForm,
+    _as_covariance,
+    _symplectic_spectrum,
     as_symmetric,
     g_scalar,
     hermitian_function,
     symplectic_form,
-    symplectic_spectrum,
 )
 
 ADMISSIBILITY_TOL = 1e-9
@@ -44,18 +46,21 @@ def validate_covariance(alpha, form: SymplecticForm) -> tuple[bool, float]:
     satisfy ``margin >= -1e-9`` (equivalently all symplectic eigenvalues
     are at least 1/2).
     """
-    a = as_symmetric(alpha)
-    if a.shape[0] != 2 * form.s:
-        raise DimensionMismatch(
-            f"covariance is {a.shape[0]}x{a.shape[0]}, form expects {2 * form.s}"
-        )
+    return _admissibility(_as_covariance(alpha, form), form)
+
+
+def _admissibility(a: np.ndarray, form: SymplecticForm) -> tuple[bool, float]:
+    """:func:`validate_covariance` of a validated symmetric ``2s x 2s`` matrix."""
     margin = float(np.linalg.eigvalsh(a + 0.5j * form.matrix).min())
     return margin >= -ADMISSIBILITY_TOL, margin
 
 
 @dataclass(frozen=True)
 class RealCovariance:
-    """Admissible quantum covariance matrix in interleaved quadratures."""
+    """Admissible quantum covariance matrix in interleaved quadratures.
+
+    Validated once, on construction; ``spectrum`` is taken once, on first use.
+    """
 
     cov: np.ndarray
 
@@ -63,10 +68,17 @@ class RealCovariance:
         a = as_symmetric(self.cov)
         if a.shape[0] % 2 != 0:
             raise InvalidCovariance(f"covariance must be 2s x 2s, got {a.shape}")
-        ok, margin = validate_covariance(a, symplectic_form(a.shape[0] // 2))
+        ok, margin = _admissibility(a, symplectic_form(a.shape[0] // 2))
         if not ok:
             raise InvalidCovariance(f"admissibility margin {margin:.3e} < -1e-9")
         object.__setattr__(self, "cov", a)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Symplectic eigenvalues, in decreasing order (read-only)."""
+        nus = _symplectic_spectrum(self.cov, self.form)
+        nus.setflags(write=False)
+        return nus
 
     @property
     def s(self) -> int:
@@ -93,8 +105,7 @@ def gaussian_entropy(alpha: RealCovariance, base: LogBase = LogBase.BITS) -> flo
 
     Equals the sum of ``g(nu_j - 1/2)`` over the symplectic eigenvalues.
     """
-    nus = symplectic_spectrum(alpha.cov, alpha.form)
-    return float(g_scalar(np.maximum(nus - 0.5, 0.0), base).sum())
+    return float(g_scalar(np.maximum(alpha.spectrum - 0.5, 0.0), base).sum())
 
 
 def _sqrt_shrink_factor(beta: np.ndarray, form: SymplecticForm) -> np.ndarray:
@@ -149,10 +160,12 @@ def entropy_reduction_general(
 
     Equals the input entropy minus the (outcome-independent) posterior
     entropy; this is also the maximum over all input states with the same
-    covariance matrix.
+    covariance matrix.  ``g`` is taken over both spectra in one call.
     """
     tilde = posterior_covariance(alpha, meas.beta)
-    return gaussian_entropy(alpha, base) - gaussian_entropy(tilde, base)
+    nus = np.concatenate((alpha.spectrum, tilde.spectrum))
+    g = g_scalar(np.maximum(nus - 0.5, 0.0), base)
+    return float(g[:alpha.s].sum() - g[alpha.s:].sum())
 
 
 def embed_complex_correlation(matrix) -> np.ndarray:
@@ -163,14 +176,11 @@ def embed_complex_correlation(matrix) -> np.ndarray:
     equals the spectrum of ``C``.
     """
     c = np.asarray(matrix, dtype=complex)
-    s = c.shape[0]
-    x, y = c.real, c.imag
-    xxpp = np.block([[x, -y], [y, x]])
-    perm = np.zeros((2 * s, 2 * s))
-    for j in range(s):
-        perm[2 * j, j] = 1.0
-        perm[2 * j + 1, s + j] = 1.0
-    return perm @ xxpp @ perm.T
+    out = np.empty((2 * c.shape[0], 2 * c.shape[0]))
+    out[0::2, 0::2] = out[1::2, 1::2] = c.real
+    out[1::2, 0::2] = c.imag
+    out[0::2, 1::2] = -c.imag
+    return out
 
 
 def embed_gauge_invariant(

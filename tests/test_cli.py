@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -222,6 +223,21 @@ class TestSweep:
             sweep_one_mode([1.0], list(np.geomspace(0.5, 2.0, 3)))
         )
         assert capsys.readouterr().out == expected
+
+    def test_output_bytes_pinned(self, tmp_path):
+        # digests of the CSV and the SVG recorded before both writers were
+        # rewritten; seven noises wrap the six chart colours
+        spec = self.write_spec(
+            tmp_path, N=[30.0, 0.0, 0.5, 1.0, 3.0, 10.0, 100.0],
+            E={"min": 1e-3, "max": 1e3, "count": 40, "scale": "log"},
+        )
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        assert main(["sweep", "--spec", spec, "--out", str(out),
+                     "--svg", str(svg)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "29225f294944c3fc38eef512daebe54f7662a0bdf5377dde0b9b8decb23d53f0")
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "9413ea2f0cf6bfb518f47c0f46571905b2b32f18760a8b1f068c4941ec36f865")
 
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, E={"min": 0.0, "max": 1.0, "count": 3})

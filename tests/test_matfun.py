@@ -6,14 +6,18 @@ import pytest
 
 from conftest import random_psd, random_symplectic, random_unitary
 from gaussmeter.errors import (
+    DimensionMismatch,
+    InvalidRange,
     NegativeArgument,
     NegativeEigenvalue,
+    NoModes,
     NotHermitian,
     NotPositiveDefinite,
     NotSymmetric,
 )
 from gaussmeter.matfun import (
     LogBase,
+    SymplecticForm,
     as_hermitian,
     g_scalar,
     g_trace,
@@ -53,6 +57,11 @@ class TestGScalar:
     def test_negative_raises(self):
         for x in (-1e-6, [1.0, -1e-6], [[0.5], [-2e-12]], math.nan):
             with pytest.raises(NegativeArgument):
+                g_scalar(np.asarray(x))
+
+    def test_infinite_raises(self):
+        for x in (math.inf, [1.0, math.inf]):
+            with pytest.raises(InvalidRange):
                 g_scalar(np.asarray(x))
 
     @pytest.mark.parametrize("base", list(LogBase))
@@ -192,6 +201,14 @@ class TestSymplecticSpectrum:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             symplectic_spectrum(np.diag([1.0, -1.0]), symplectic_form(1))
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            symplectic_spectrum(np.eye(2), symplectic_form(2))
+
+    def test_form_rejects_zero_modes(self):
+        with pytest.raises(NoModes):
+            SymplecticForm(0)
 
 
 def test_as_hermitian_symmetrizes(rng):

@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import random_admissible_cov, random_psd, random_symplectic
-from gaussmeter.errors import InvalidCovariance, NotSymmetric
+from gaussmeter import matfun, symplectic
+from gaussmeter.errors import InvalidCovariance, NoModes, NotSymmetric
 from gaussmeter.gauge import GaugeMeasurement, GaugeState, entropy_reduction_gauge
-from gaussmeter.matfun import symplectic_form
+from gaussmeter.matfun import symplectic_form, symplectic_spectrum
 from gaussmeter.symplectic import (
     GeneralMeasurement,
     RealCovariance,
@@ -221,3 +222,58 @@ class TestEmbedding:
 def test_real_covariance_rejects_inadmissible():
     with pytest.raises(InvalidCovariance):
         RealCovariance(0.25 * np.eye(2))
+
+
+def test_real_covariance_rejects_zero_modes():
+    with pytest.raises(NoModes):
+        RealCovariance(np.zeros((0, 0)))
+
+
+def test_real_covariance_rejects_complex_entries():
+    with pytest.raises(NotSymmetric, match="imaginary"):
+        RealCovariance(np.eye(2) * (1 + 1j))
+    alpha = RealCovariance(np.eye(2).astype(complex))
+    assert alpha.cov.dtype == np.float64
+    assert alpha.cov.tolist() == np.eye(2).tolist()
+
+
+class TestValidatedOnce:
+    """A covariance is checked once, when built, and keeps its spectrum."""
+
+    def test_checks_symmetry_once(self, monkeypatch, rng):
+        calls = []
+        real = matfun.as_symmetric
+
+        def spy(matrix, *args):
+            calls.append(1)
+            return real(matrix, *args)
+
+        monkeypatch.setattr(symplectic, "as_symmetric", spy)
+        monkeypatch.setattr(matfun, "as_symmetric", spy)
+        alpha = RealCovariance(random_admissible_cov(rng, 2))
+        gaussian_entropy(alpha)
+        assert len(calls) == 1
+
+    def test_second_entropy_takes_no_eigensolve(self, monkeypatch, rng):
+        alpha = RealCovariance(random_admissible_cov(rng, 2))
+        first = gaussian_entropy(alpha)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name: calls.append(_n))
+        assert gaussian_entropy(alpha) == first
+        assert calls == []
+
+    def test_spectrum_matches_public_function_and_is_read_only(self, rng):
+        alpha = RealCovariance(random_admissible_cov(rng, 3))
+        expected = symplectic_spectrum(alpha.cov, alpha.form)
+        assert alpha.spectrum.tolist() == expected.tolist()
+        with pytest.raises(ValueError):
+            alpha.spectrum[0] = 1.0
+
+    def test_entropy_reduction_is_difference_of_entropies(self, rng):
+        for s in (1, 2, 3):
+            alpha = RealCovariance(random_admissible_cov(rng, s))
+            beta = RealCovariance(random_admissible_cov(rng, s))
+            tilde = posterior_covariance(alpha, beta)
+            value = entropy_reduction_general(alpha, GeneralMeasurement(beta))
+            assert value == gaussian_entropy(alpha) - gaussian_entropy(tilde)
