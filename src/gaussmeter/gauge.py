@@ -24,10 +24,9 @@ from .errors import (
     NoModes,
     NotHermitian,
 )
-from .matfun import (  # noqa: F401 (perfbench/selftest.py reads gauge.g_trace)
+from .matfun import (
     EIG_CLIP,
     LogBase,
-    _psd_spectrum,
     as_hermitian,
     g_scalar,
     g_trace,
@@ -54,20 +53,14 @@ def _check_psd(a: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaugeState:
-    """Phase-insensitive Gaussian state with correlation matrix ``Lambda >= 0``.
-
-    ``occupations`` holds the spectrum of ``Lambda``, clipped at 0, taken
-    once on construction.
-    """
+    """Phase-insensitive Gaussian state with correlation matrix ``Lambda >= 0``."""
 
     correlation: np.ndarray
-    occupations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_hermitian(self.correlation)
-        w = _check_psd(a, np.linalg.eigvalsh(a), "state correlation")
+        _check_psd(a, np.linalg.eigvalsh(a), "state correlation")
         object.__setattr__(self, "correlation", a)
-        object.__setattr__(self, "occupations", w)
 
     @property
     def s(self) -> int:
@@ -160,8 +153,7 @@ def posterior_params(state: GaugeState, meas: GaugeMeasurement) -> GaugePosterio
     m_inv = np.linalg.inv(lam + meas.noise + np.eye(s))
     corr = meas.shrink @ lam @ m_inv @ meas.grow
     defect = np.abs(corr - corr.conj().T).max(initial=0.0)
-    bound = POSTERIOR_HERM_TOL * (1.0 + np.abs(corr).max(initial=0.0))
-    if not defect <= bound < np.inf:  # a non-finite matrix fails too
+    if defect > POSTERIOR_HERM_TOL * (1.0 + np.abs(corr).max(initial=0.0)):
         raise NotHermitian(f"posterior correlation defect {defect:.3e}")
     corr = (corr + corr.conj().T) / 2.0
     return GaugePosterior(gain=meas.grow @ m_inv, correlation=corr)
@@ -205,13 +197,9 @@ def entropy_reduction_gauge(
 
     Equals ``Sp g(Lambda) - Sp g(Ntilde)`` and coincides with the largest
     entropy reduction over all states sharing the correlation matrix.
-    ``g`` is taken over both spectra in one call; that of ``Lambda`` is the
-    state's ``occupations``.
     """
     post = posterior_params(state, meas)
-    lam = state.occupations
-    g = g_scalar(np.concatenate((lam, _psd_spectrum(post.correlation))), base)
-    return float(g[:lam.size].sum() - g[lam.size:].sum())
+    return g_trace(state.correlation, base) - g_trace(post.correlation, base)
 
 
 def sqrt_gaussian_params(meas: GaugeMeasurement) -> tuple[np.ndarray, float]:

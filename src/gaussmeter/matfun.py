@@ -165,17 +165,13 @@ def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray],
     return (u * fn(w)) @ u.conj().T
 
 
-def _psd_spectrum(a: np.ndarray) -> np.ndarray:
-    """Clipped spectrum of a validated Hermitian PSD matrix; the core of g_trace."""
+def g_trace(matrix, base: LogBase = LogBase.BITS) -> float:
+    """Trace of ``g`` applied to a Hermitian PSD matrix (sum over spectrum)."""
+    a = as_hermitian(matrix)
     w = np.linalg.eigvalsh(a)
     if w.min(initial=0.0) < -EIG_CLIP * (1.0 + abs(w).max(initial=0.0)):
         raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below clip tolerance")
-    return np.maximum(w, 0.0)
-
-
-def g_trace(matrix, base: LogBase = LogBase.BITS) -> float:
-    """Trace of ``g`` applied to a Hermitian PSD matrix (sum over spectrum)."""
-    return float(g_scalar(_psd_spectrum(as_hermitian(matrix)), base).sum())
+    return float(g_scalar(np.maximum(w, 0.0), base).sum())
 
 
 def psd_sqrt(matrix) -> np.ndarray:

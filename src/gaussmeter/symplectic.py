@@ -160,12 +160,10 @@ def entropy_reduction_general(
 
     Equals the input entropy minus the (outcome-independent) posterior
     entropy; this is also the maximum over all input states with the same
-    covariance matrix.  ``g`` is taken over both spectra in one call.
+    covariance matrix.
     """
     tilde = posterior_covariance(alpha, meas.beta)
-    nus = np.concatenate((alpha.spectrum, tilde.spectrum))
-    g = g_scalar(np.maximum(nus - 0.5, 0.0), base)
-    return float(g[:alpha.s].sum() - g[alpha.s:].sum())
+    return gaussian_entropy(alpha, base) - gaussian_entropy(tilde, base)
 
 
 def embed_complex_correlation(matrix) -> np.ndarray:
@@ -174,8 +172,13 @@ def embed_complex_correlation(matrix) -> np.ndarray:
     Maps the Hermitian matrix ``C = X + iY`` to the interleaved real form
     of ``[[X, -Y], [Y, X]]``; under this embedding the symplectic spectrum
     equals the spectrum of ``C``.
+
+    Raises:
+        DimensionMismatch: if ``C`` is not a square matrix.
     """
     c = np.asarray(matrix, dtype=complex)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {c.shape}")
     out = np.empty((2 * c.shape[0], 2 * c.shape[0]))
     out[0::2, 0::2] = out[1::2, 1::2] = c.real
     out[1::2, 0::2] = c.imag

@@ -286,28 +286,3 @@ def test_state_rejects_indefinite_correlation():
 def test_rejects_zero_modes(cls):
     with pytest.raises(NoModes):
         cls(np.zeros((0, 0), dtype=complex))
-
-
-class TestSpectrumTakenOnce:
-    """The state's spectrum is taken when it is built and reused."""
-
-    def test_state_keeps_its_clipped_spectrum(self, rng):
-        v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        state = GaugeState(v @ v.conj().T)  # rank 2
-        expected = np.clip(np.linalg.eigvalsh(state.correlation), 0.0, None)
-        assert state.occupations.tolist() == expected.tolist()
-
-    def test_entropy_reduction_takes_one_eigensolve(self, monkeypatch, rng):
-        state = GaugeState(random_psd(rng, 3))
-        meas = GaugeMeasurement(random_psd(rng, 3))
-        post = posterior_params(state, meas)
-        expected = g_trace(state.correlation) - g_trace(post.correlation)
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            def spy(a, *args, _real=getattr(np.linalg, name), _name=name):
-                calls.append(_name)
-                return _real(a, *args)
-            monkeypatch.setattr(np.linalg, name, spy)
-        value = entropy_reduction_gauge(state, meas)
-        assert calls == ["eigvalsh"]
-        assert value == expected

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from conftest import random_admissible_cov, random_psd, random_symplectic
 from gaussmeter import matfun, symplectic
-from gaussmeter.errors import InvalidCovariance, NoModes, NotSymmetric
+from gaussmeter.errors import DimensionMismatch, InvalidCovariance, NoModes, NotSymmetric
 from gaussmeter.gauge import GaugeMeasurement, GaugeState, entropy_reduction_gauge
 from gaussmeter.matfun import symplectic_form, symplectic_spectrum
 from gaussmeter.symplectic import (
@@ -207,6 +207,11 @@ class TestEmbedding:
         np.testing.assert_allclose(
             symplectic_spectrum(embedded, symplectic_form(3)), nus, atol=1e-10
         )
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 2), ()])
+    def test_embedding_rejects_non_square(self, shape):
+        with pytest.raises(DimensionMismatch):
+            embed_complex_correlation(np.ones(shape, dtype=complex))
 
     def test_representation_match_on_random_draws(self, rng):
         for _ in range(100):
