@@ -274,11 +274,3 @@ class TestValidatedOnce:
         assert alpha.spectrum.tolist() == expected.tolist()
         with pytest.raises(ValueError):
             alpha.spectrum[0] = 1.0
-
-    def test_entropy_reduction_is_difference_of_entropies(self, rng):
-        for s in (1, 2, 3):
-            alpha = RealCovariance(random_admissible_cov(rng, s))
-            beta = RealCovariance(random_admissible_cov(rng, s))
-            tilde = posterior_covariance(alpha, beta)
-            value = entropy_reduction_general(alpha, GeneralMeasurement(beta))
-            assert value == gaussian_entropy(alpha) - gaussian_entropy(tilde)
