@@ -16,13 +16,15 @@ part of the state (below) is factored once as ``W W^dag`` on its support, and
 the Gram matrix is ``W_phi^dag P W_phi``: ``P`` is the tensor product of
 real per-mode blocks ``X_k^T X_k`` with ``X_k = sqrt(rho_noise,k)
 D(|z_k|)^dag``, on the levels the support uses, and ``W_phi`` is ``W`` with
-the outcome's number phase ``e^{-i sum_k phi_k n_k}`` on each row.  A
-number-diagonal state ``diag(a^2)`` drops every phase: its Gram matrix is
-``(a a^T)`` times ``P`` entry by entry, its spectrum is taken in real
-arithmetic, and it depends on the outcome only through the radii ``|z_k|``,
-so the kernel takes one spectrum per distinct radius tuple, and its entropy
-serves every outcome that shares it (33 spectra for the 209 outcomes inside
-the validity radius of the default grid at dim 40, noise 1).  The
+the outcome's number phase ``e^{-i sum_k phi_k n_k}`` on each row.  ``P``
+depends on the outcome only through the radii ``|z_k|``, so the kernel
+builds it once per distinct radius tuple, for every state (33 tuples for the
+209 outcomes inside the validity radius of the default grid at dim 40,
+noise 1), and a general state takes ``W_phi^dag P W_phi`` and its spectrum
+per outcome.  A number-diagonal state ``diag(a^2)`` drops every phase: its
+Gram matrix is ``(a a^T)`` times ``P`` entry by entry, its spectrum is taken
+in real arithmetic, and the kernel takes one spectrum per distinct radius
+tuple, whose entropy serves every outcome that shares it.  The
 measurement acts mode by mode, so a state that its one-mode marginals
 recompose is split into one part per mode, each with its own posterior at
 every outcome; any other state is one part.  Each part is integrated on its
@@ -264,10 +266,11 @@ def _as_density(rho) -> np.ndarray:
     return rho
 
 
-def _check_density(rho: np.ndarray, w: np.ndarray) -> None:
-    """Check Hermiticity, unit trace and positivity of ``rho``, with spectrum ``w``."""
+def _check_density(rho: np.ndarray, w: np.ndarray, scale: float) -> None:
+    """Check Hermiticity, unit trace and positivity of ``rho``, with spectrum
+    ``w`` and ``scale = max |rho|``."""
     defect = np.abs(rho - rho.conj().T).max(initial=0.0)
-    if defect > 1e-9 * (1.0 + np.abs(rho).max(initial=0.0)):
+    if defect > 1e-9 * (1.0 + scale):
         raise ValueError(f"density operator asymmetry {defect:.3e}")
     trace = np.trace(rho).real
     if abs(trace - 1.0) > 1e-6:
@@ -286,7 +289,7 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check shape (``DimensionMismatch``), finiteness, Hermiticity, unit
     trace and positivity (``ValueError``) of a state."""
     rho = _as_density(rho)
-    _check_density(rho, np.linalg.eigvalsh(rho))
+    _check_density(rho, np.linalg.eigvalsh(rho), np.abs(rho).max(initial=0.0))
     return rho
 
 
@@ -541,6 +544,29 @@ def monte_carlo_grid(
     return OutcomeGrid(points=points, weights=weights)
 
 
+def _block_product(radii, blocks, theta, factor, out, scratch) -> None:
+    """Write ``factor o P[S, S]`` at each row of ``radii`` into ``out``.
+
+    ``radii`` is ``(m, s)``, one radius tuple ``|z_k|`` per row.  ``blocks``
+    holds, per mode, the noise root times ``V``, the columns of ``V^dag`` at
+    the ``u_k`` levels the support uses, and ``P[S, S]``'s flat index into
+    ``X_k^T X_k``.  ``out`` and ``scratch`` are real ``(m, r^2)`` stacks;
+    the later modes' blocks pass through ``scratch``.  Per mode this is one
+    complex GEMM over every row, a batched ``X_k^T X_k``, a gather and an
+    in-place product.
+    """
+    m, dim = radii.shape[0], theta.size
+    for k, (root, vd, flat) in enumerate(blocks):
+        # x: the real X_k of every row, as (row, level, dim)
+        x = vd[:, None, :] * np.exp(1j * np.outer(theta, radii[:, k]))[:, :, None]
+        x = (root @ x.reshape(dim, -1)).real.reshape(dim, m, -1).transpose(1, 2, 0)
+        # mode="clip" gathers straight into the stack; "raise" would buffer
+        # (``flat`` is in range by construction)
+        block = np.take((x @ x.transpose(0, 2, 1)).reshape(m, -1), flat, axis=1,
+                        out=scratch if k else out, mode="clip")
+        out *= block if k else factor
+
+
 def _er_outcome_terms(
     support: np.ndarray,
     factor: np.ndarray,
@@ -563,27 +589,33 @@ def _er_outcome_terms(
     the phase ``e^{-i sum_k phi_k n_k}`` on each row, and
     ``P = (x)_k X_k^T X_k`` for the real ``X_k = sqrt(rho_noise,k)
     D(|z_k|)^dag``.  Only the ``u_k`` levels of mode ``k`` that ``S`` uses
-    are needed, so ``X_k`` is ``dim x u_k``, one complex GEMM per mode and
-    chunk, and ``P[S, S]`` is gathered from the ``u_k x u_k`` blocks by a
-    flat index.  No ``D``-sized stack is built.
+    are needed, so ``X_k`` is ``dim x u_k`` (see :func:`_block_product`),
+    and ``P[S, S]`` is gathered from the ``u_k x u_k`` blocks by a flat
+    index.  No ``D``-sized stack is built.
 
-    ``factor`` is ``W`` (2-D, ``r x r``) for a general state.  For a
-    number-diagonal state it is 1-D, the amplitudes ``a`` of
-    ``rho[S, S] = diag(a^2)``, zeros allowed: ``W = diag(a)``, the row phases
-    act on it as a unitary on the right and drop out, and
-    ``G = (a a^T) o P[S, S]`` (``o`` entry by entry) is real.  That ``G``
-    depends on ``z`` only through the radii ``|z_k|``, so it is built for
-    the distinct radius tuples of ``points`` (``np.unique`` on ``|points|``,
-    exact float equality), and ``rows`` maps every point to its tuple's
-    row of the results; the values are those of a point-by-point
-    evaluation, bit for bit.  A general state runs on every point, and
-    ``rows`` is ``arange(n)``.
+    ``P`` reads the outcome only through its radii ``|z_k|``, and the phases
+    act only on ``W_phi``.  So the kernel takes the distinct radius tuples
+    of ``points`` (``np.unique`` on ``|points|``, exact float equality) and,
+    in each chunk, builds ``P`` once per distinct tuple among the chunk's
+    rows.  ``factor`` is ``W`` (2-D, ``r x r``) for a general state: each
+    outcome gathers its tuple's ``P`` and takes ``W_phi^dag P W_phi`` and
+    its spectrum, and ``rows`` is ``arange(n)``.  For a number-diagonal
+    state ``factor`` is 1-D, the amplitudes ``a`` of
+    ``rho[S, S] = diag(a^2)``, zeros allowed: ``W = diag(a)``, the row
+    phases act on it as a unitary on the right and drop out, and
+    ``G = (a a^T) o P[S, S]`` (``o`` entry by entry) is real and depends on
+    the radii alone.  Then the kernel integrates the distinct tuples, and
+    ``rows`` maps every point to its tuple's row of the results.  Either way
+    the values are those of a point-by-point evaluation, bit for bit: each
+    row's phase ``sum_k phi_k n_k`` is summed mode by mode, the same for one
+    point as for any batch.
 
     Chunks hold at most ``CHUNK_ENTRIES`` entries of the larger per-outcome
-    stack, ``r^2`` for ``G`` or ``dim u_k`` for ``X_k``, and write each
-    mode's gathered block and their product ``P[S, S]`` as reals into one
-    workspace of ``CHUNK_ENTRIES`` complex entries (see that constant).  The
-    chunk size changes no bit of the results.
+    stack, ``r^2`` for ``G`` or ``dim u_k`` for ``X_k``.  Each chunk writes
+    its ``P`` stack, the later modes' blocks and the ``P`` each outcome
+    gathers as reals into one workspace of ``CHUNK_ENTRIES`` complex entries
+    (see that constant): at most ``m`` distinct tuples and ``m`` outcomes
+    take ``2 m r^2`` reals.  The chunk size changes no bit of the results.
 
     Returns ``(p, spectra, rows)``: the density ``p = tr G`` and the spectrum
     of ``G / p``, one row of ``r`` eigenvalues per integrated point,
@@ -595,62 +627,53 @@ def _er_outcome_terms(
     rank = support.size
     modes = points.shape[1]
     theta, v = _displacement_basis(dim)
-    roots = [np.sqrt(_thermal_diagonal(nbar, dim))[:, None] * v
-             for nbar in noise]
     levels = np.array(np.unravel_index(support, (dim,) * modes))
-    diagonal = factor.ndim == 1
-    if diagonal:
-        # G reads only |z_k|: integrate each distinct radius tuple once
-        points, inverse = np.unique(np.abs(points), axis=0, return_inverse=True)
-        amplitudes = np.outer(factor, factor).ravel()
-    else:
-        inverse = np.arange(points.shape[0])
-        amplitudes = 1.0  # the blocks' product is P[S, S] itself
-        # each row's phase sum_k phi_k n_k for every point at once: numpy
-        # rounds a one-point product differently, so chunk sizes would show
-        phases = np.angle(points) @ levels
-    # per mode: the support's levels, and P[S, S]'s flat index into X_k^T X_k
+    # per mode: the noise root times V, V^dag at the support's levels, and
+    # P[S, S]'s flat index into X_k^T X_k
     blocks = []
-    for level in levels:
+    for nbar, level in zip(noise, levels):
         used, pos = np.unique(level, return_inverse=True)
         flat = (pos[:, None] * used.size + pos[None, :]).ravel()
-        blocks.append((v.conj().T[:, used], flat))
-    per_outcome = max(rank * rank, dim * max(b.shape[1] for b, _ in blocks))
-    n = points.shape[0]
+        blocks.append((np.sqrt(_thermal_diagonal(nbar, dim))[:, None] * v,
+                       v.conj().T[:, used], flat))
+    radii, inverse = np.unique(np.abs(points), axis=0, return_inverse=True)
+    diagonal = factor.ndim == 1
+    if diagonal:
+        # G reads only the radii: integrate each distinct tuple once
+        tuples, rows = np.arange(radii.shape[0]), inverse
+        amplitudes = np.outer(factor, factor).ravel()
+    else:
+        tuples, rows = inverse, np.arange(points.shape[0])
+        amplitudes = 1.0  # the blocks' product is P[S, S] itself
+        phases = reduce(np.add, map(np.multiply.outer, np.angle(points).T, levels))
+    per_outcome = max(rank * rank, dim * max(vd.shape[1] for _, vd, _ in blocks))
+    n = tuples.size
     chunk = max(1, CHUNK_ENTRIES // per_outcome)
-    work = np.empty(max(CHUNK_ENTRIES, per_outcome), dtype=complex)
+    work = np.empty(max(CHUNK_ENTRIES, per_outcome), dtype=complex).view(float)
     density = np.zeros(n)
     spectra = np.zeros((n, rank))
-
-    def gram_stack(rows: slice) -> np.ndarray:
-        zs = points[rows]
-        m = zs.shape[0]
-        # two real (point, r^2) stacks in ``work``: each mode gathers into one
-        # and multiplies it in place by the product so far, held in the other
-        stacks = work.view(float)[: 2 * m * rank * rank].reshape(2, m, -1)
-        gram = amplitudes
-        for k, (root, (vd, flat), r) in enumerate(zip(roots, blocks, np.abs(zs).T)):
-            # x: the real X_k of every point, as (point, level, dim)
-            x = vd[:, None, :] * np.exp(1j * np.outer(theta, r))[:, :, None]
-            x = (root @ x.reshape(dim, -1)).real.reshape(dim, m, -1).transpose(1, 2, 0)
-            # mode="clip" gathers straight into the stack; "raise" would buffer
-            # (``flat`` is in range by construction)
-            block = np.take((x @ x.transpose(0, 2, 1)).reshape(m, -1), flat, axis=1,
-                            out=stacks[k % 2], mode="clip")
-            block *= gram
-            gram = block
-        gram = gram.reshape(m, rank, rank)
-        if diagonal:
-            return gram
-        # W_phi: W with the phase e^{-i sum_k phi_k n_k} on each row.  P W_phi
-        # is taken in real arithmetic on its interleaved real and imaginary
-        # parts; W_phi^dag then conjugates W_phi in place, not in a copy
-        w_phi = np.exp(-1j * phases[rows])[:, :, None] * factor
-        product = (gram @ w_phi.view(float)).view(complex)
-        return np.swapaxes(np.conjugate(w_phi, out=w_phi), 1, 2) @ product
-
     for start in range(0, n, chunk):
-        gram = gram_stack(slice(start, start + chunk))
+        stop = min(start + chunk, n)
+        distinct, local = np.unique(tuples[start:stop], return_inverse=True)
+        # the distinct tuples' P at the front of the workspace; behind it the
+        # later modes' blocks, then each outcome's gathered P over them
+        size = distinct.size * rank * rank
+        built, behind = work[:size].reshape(distinct.size, -1), work[size:]
+        _block_product(radii[distinct], blocks, theta, amplitudes, built,
+                       behind[:size].reshape(built.shape))
+        if diagonal:
+            gram = built.reshape(-1, rank, rank)
+        else:
+            m = stop - start
+            p_stack = np.take(built, local, axis=0, mode="clip",
+                              out=behind[: m * rank * rank].reshape(m, -1))
+            p_stack = p_stack.reshape(m, rank, rank)
+            # W_phi: W with the phase e^{-i sum_k phi_k n_k} on each row.
+            # P W_phi is taken in real arithmetic on its interleaved real and
+            # imaginary parts; W_phi^dag then conjugates W_phi in place
+            w_phi = np.exp(-1j * phases[start:stop])[:, :, None] * factor
+            product = (p_stack @ w_phi.view(float)).view(complex)
+            gram = np.swapaxes(np.conjugate(w_phi, out=w_phi), 1, 2) @ product
         ps = np.einsum("kii->k", gram).real
         keep = ps >= P_MIN
         if not np.any(keep):
@@ -658,7 +681,7 @@ def _er_outcome_terms(
         idx = np.nonzero(keep)[0] + start
         density[idx] = ps[keep]
         spectra[idx] = np.linalg.eigvalsh(gram[keep]) / ps[keep, None]
-    return density, spectra, inverse
+    return density, spectra, rows
 
 
 def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -681,12 +704,14 @@ def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return support, w, u * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _product_parts(rho: np.ndarray, dim: int, modes: int) -> list[np.ndarray]:
+def _product_parts(rho: np.ndarray, dim: int, modes: int,
+                   scale: float) -> list[np.ndarray]:
     """Independent parts of a state: ``[rho]``, or one operator per mode.
 
     The parts are ``[tr(rho) m_0, m_1, ...]`` for the unit-trace marginals
     ``m_k = Tr_{!=k} rho / tr rho`` when their Kronecker product ``R`` is
-    within :data:`PRODUCT_TOL` of ``max |rho|`` of ``rho`` in every entry.
+    within :data:`PRODUCT_TOL` of ``scale = max |rho|`` of ``rho`` in every
+    entry.
     ``R``'s spectrum stands in for ``rho``'s: by Weyl's bound they differ by
     at most ``||rho - R||_2 <= D PRODUCT_TOL max |rho|`` (2.6e-12 at
     ``D = 256``), inside the ``-1e-10`` positivity threshold for ``D < 10^4``.
@@ -700,7 +725,7 @@ def _product_parts(rho: np.ndarray, dim: int, modes: int) -> list[np.ndarray]:
         shape = (dim**k, dim, dim ** (modes - k - 1)) * 2
         parts.append(np.einsum("aibajb->ij", rho.reshape(shape)) / trace)
     parts[0] = trace * parts[0]
-    if np.abs(reduce(np.kron, parts) - rho).max() > PRODUCT_TOL * np.abs(rho).max():
+    if np.abs(reduce(np.kron, parts) - rho).max() > PRODUCT_TOL * scale:
         return [rho]
     return parts
 
@@ -753,9 +778,11 @@ def er_numeric(
     n, modes = points.shape
     dim = _mode_dimension(rho, modes)
     noise_arr = _mode_occupations(noise, modes)
-    factored = [_factor(part) for part in _product_parts(rho, dim, modes)]
+    # max |rho| scales the product test and the asymmetry check alike
+    scale = np.abs(rho).max(initial=0.0)
+    factored = [_factor(part) for part in _product_parts(rho, dim, modes, scale)]
     w = reduce(np.multiply.outer, [w_k for _, w_k, _ in factored]).ravel()
-    _check_density(rho, w)
+    _check_density(rho, w, scale)
     entropy_in = _spectrum_entropy(w, base)
 
     r_valid = min(validity_radius(dim, nbar) for nbar in noise_arr)

@@ -157,21 +157,25 @@ def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray],
         NotHermitian: on invalid input.
         NegativeEigenvalue: if an eigenvalue lies below ``-clip``.
     """
-    a = as_hermitian(matrix)
-    w, u = np.linalg.eigh(a)
+    w, u = np.linalg.eigh(as_hermitian(matrix))
+    return (u * fn(_clipped_spectrum(w, clip))) @ u.conj().T
+
+
+def _clipped_spectrum(w: np.ndarray, clip: float) -> np.ndarray:
+    """The spectrum ``w`` with entries in ``[-clip (1 + max|w|), 0]`` set to 0.
+
+    Raises:
+        NegativeEigenvalue: if an entry lies below that range.
+    """
     if w.min(initial=0.0) < -clip * (1.0 + abs(w).max(initial=0.0)):
         raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below clip tolerance")
-    w = np.clip(w, 0.0, None)
-    return (u * fn(w)) @ u.conj().T
+    return np.maximum(w, 0.0)
 
 
 def g_trace(matrix, base: LogBase = LogBase.BITS) -> float:
     """Trace of ``g`` applied to a Hermitian PSD matrix (sum over spectrum)."""
-    a = as_hermitian(matrix)
-    w = np.linalg.eigvalsh(a)
-    if w.min(initial=0.0) < -EIG_CLIP * (1.0 + abs(w).max(initial=0.0)):
-        raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below clip tolerance")
-    return float(g_scalar(np.maximum(w, 0.0), base).sum())
+    w = np.linalg.eigvalsh(as_hermitian(matrix))
+    return float(g_scalar(_clipped_spectrum(w, EIG_CLIP), base).sum())
 
 
 def psd_sqrt(matrix) -> np.ndarray:

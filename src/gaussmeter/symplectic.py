@@ -22,10 +22,10 @@ from .matfun import (
     LogBase,
     SymplecticForm,
     _as_covariance,
+    _clipped_spectrum,
     _symplectic_spectrum,
     as_symmetric,
     g_scalar,
-    hermitian_function,
     symplectic_form,
 )
 
@@ -113,7 +113,8 @@ def _sqrt_shrink_factor(beta: np.ndarray, form: SymplecticForm) -> np.ndarray:
 
     The argument has real spectrum ``1 - 1/(2 nu_j)^2 >= 0`` for admissible
     ``beta``.  It is exactly symmetric for one mode and for noise sharing
-    the standard complex structure; then a clipped Hermitian root is used.
+    the standard complex structure; then its root is taken through a real
+    ``eigh``, with eigenvalues in ``[-1e-10, 0]`` (relative) clipped to 0.
     Otherwise the principal matrix square root realizes the formula as
     written.
     """
@@ -122,7 +123,8 @@ def _sqrt_shrink_factor(beta: np.ndarray, form: SymplecticForm) -> np.ndarray:
     x = np.eye(beta.shape[0]) + np.linalg.inv(squared)
     asym = np.abs(x - x.T).max(initial=0.0)
     if asym <= SYMMETRY_PRECHECK_TOL * (1.0 + np.abs(x).max(initial=0.0)):
-        root = hermitian_function((x + x.T) / 2.0, np.sqrt, clip=1e-10).real
+        w, u = np.linalg.eigh((x + x.T) / 2.0)
+        root = (u * np.sqrt(_clipped_spectrum(w, 1e-10))) @ u.T
     else:
         root = scipy.linalg.sqrtm(x)
         if np.abs(root.imag).max(initial=0.0) > 1e-8:
@@ -136,16 +138,24 @@ def posterior_covariance(alpha: RealCovariance, beta: RealCovariance) -> RealCov
 
     Computes ``beta - F beta (alpha+beta)^-1 beta F^T`` where ``F`` is the
     shrink factor of :func:`_sqrt_shrink_factor`; the right-hand factor of
-    the product is exactly the transpose of the left-hand one.  The result
-    is symmetrized after a roundoff pre-check and validated as admissible.
+    the product is exactly the transpose of the left-hand one.  One ``eigh``
+    of the symmetric ``alpha + beta = U diag(w) U^T`` gives its 2-norm
+    condition number ``max|w| / min|w|`` and ``beta (alpha+beta)^-1 beta =
+    (beta U) diag(1/w) (beta U)^T``.  The result is symmetrized after a
+    roundoff pre-check and validated as admissible.
+
+    Raises:
+        SingularSum: when that condition number exceeds ``CONDITION_LIMIT``.
     """
     if alpha.s != beta.s:
         raise DimensionMismatch(f"alpha has {alpha.s} modes, beta has {beta.s}")
-    total = alpha.cov + beta.cov
-    if np.linalg.cond(total) > CONDITION_LIMIT:
+    w, u = np.linalg.eigh(alpha.cov + beta.cov)
+    magnitudes = np.abs(w)
+    if magnitudes.max() > CONDITION_LIMIT * magnitudes.min():
         raise SingularSum(f"alpha + beta condition number exceeds {CONDITION_LIMIT:.0e}")
     factor = _sqrt_shrink_factor(beta.cov, beta.form)
-    middle = beta.cov @ np.linalg.solve(total, beta.cov)
+    bu = beta.cov @ u
+    middle = (bu / w) @ bu.T
     out = beta.cov - factor @ middle @ factor.T
     asym = np.abs(out - out.T).max(initial=0.0)
     if asym > SYMMETRY_PRECHECK_TOL * (1.0 + np.abs(out).max(initial=0.0)):

@@ -582,20 +582,28 @@ class TestWorkerThreads:
 
 
 class TestDistinctRadii:
-    """Number-diagonal states integrate each distinct radius tuple once."""
+    """Every state builds the block product ``P[S, S]`` once per distinct
+    radius tuple; number-diagonal states also integrate each tuple once."""
 
     @staticmethod
     def evaluated(monkeypatch, rho, noise, grid, **options):
-        """``er_numeric``, and how many posterior spectra it took."""
-        spectra = []
+        """``er_numeric``, how many posterior spectra it took and for how
+        many radius tuples it built ``P[S, S]``."""
+        spectra, tuples = [], []
         eigvalsh = np.linalg.eigvalsh
+        block_product = fockoracle._block_product
 
         def spy(a):
             spectra.append(a.shape[0])
             return eigvalsh(a)
 
+        def block_spy(radii, *args):
+            tuples.append(radii.shape[0])
+            return block_product(radii, *args)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        return er_numeric(rho, noise, grid, **options), sum(spectra)
+        monkeypatch.setattr(fockoracle, "_block_product", block_spy)
+        return er_numeric(rho, noise, grid, **options), sum(spectra), sum(tuples)
 
     @staticmethod
     def flipped(points, rng):
@@ -613,7 +621,8 @@ class TestDistinctRadii:
 
     def test_matches_per_point_evaluation(self, monkeypatch, rng):
         # the kernel on every outcome alone, against one call on the grid:
-        # equal bit for bit, as the Gram builder reads only |z_k|
+        # equal bit for bit, as P[S, S] reads only |z_k| and each outcome's
+        # phases are its own
         kernel = fockoracle._er_outcome_terms
 
         def per_point(support, factor, dim, noise, points):
@@ -635,6 +644,12 @@ class TestDistinctRadii:
             # outcome is its own pair
             (thermal_state((0.2, 0.3), 16), (0.15, 0.3), two_mode),
         ]
+        # non-diagonal states, whose outcomes each gather their tuple's P
+        hermite = default_grid(1.0, 1.0)
+        one_mode = OutcomeGrid(self.flipped(hermite.points, rng),
+                               np.tile(hermite.weights, 4) / 4)
+        cases += [(random_low_energy_state(rng, 12, 40), 1.0, one_mode),
+                  (beam_splitter_state(6), (0.05, 0.1), two_mode)]
         for rho, noise, grid in cases:
             whole = er_numeric(rho, noise, grid, mass_tol=math.inf)
             monkeypatch.setattr(fockoracle, "_er_outcome_terms", per_point)
@@ -648,13 +663,19 @@ class TestDistinctRadii:
         grid = default_grid(1.0, 1.0)
         inside = grid.points[np.abs(grid.points) <= validity_radius(40, 1.0)]
         assert inside.size == 209
-        _, count = self.evaluated(monkeypatch, thermal_state(1.0, 40), 1.0, grid)
-        assert count == 33
+        _, count, tuples = self.evaluated(monkeypatch, thermal_state(1.0, 40), 1.0, grid)
+        assert (tuples, count) == (33, 33)
 
     def test_non_diagonal_state_takes_every_outcome(self, monkeypatch, rng):
         rho = random_low_energy_state(rng, 12, 40)
-        _, count = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
+        _, count, _ = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
         assert count == 209
+
+    def test_non_diagonal_state_builds_each_radius_tuple_once(self, monkeypatch, rng):
+        # one chunk holds the 209 outcomes inside the radius, on 33 radii
+        rho = random_low_energy_state(rng, 12, 40)
+        _, count, tuples = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
+        assert (tuples, count) == (33, 209)
 
 
 class TestProductSplit:
