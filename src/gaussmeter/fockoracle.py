@@ -17,10 +17,17 @@ the Gram matrix is ``W_phi^dag P W_phi``: ``P`` is the tensor product of
 real per-mode blocks ``X_k^T X_k`` with ``X_k = sqrt(rho_noise,k)
 D(|z_k|)^dag``, on the levels the support uses, and ``W_phi`` is ``W`` with
 the outcome's number phase ``e^{-i sum_k phi_k n_k}`` on each row.  ``P``
-depends on the outcome only through the radii ``|z_k|``, so the kernel
-builds it once per distinct radius tuple, for every state (33 tuples for the
-209 outcomes inside the validity radius of the default grid at dim 40,
-noise 1), and a general state takes ``W_phi^dag P W_phi`` and its spectrum
+depends on the outcome only through the radii ``|z_k|``, and a mode's block
+only on the truncation, the mode's noise occupation, ``|z_k|`` and the
+levels used, never on the state.  So each mode builds its blocks once per
+distinct radius of its outcomes (33 radii for the 209 outcomes inside the
+validity radius of the default grid at dim 40, noise 1) and keeps them
+across calls on the key ``(dim, noise occupation, distinct radii, used
+levels)``, least recently used out first, while all kept blocks hold at
+most ``CHUNK_ENTRIES`` complex entries' bytes (6.5 MB).  A call's cost thus
+depends on whether an earlier call built its keys: one that did builds no
+block.  The kernel forms ``P`` once per distinct radius tuple, for every
+state, and a general state takes ``W_phi^dag P W_phi`` and its spectrum
 per outcome.  A number-diagonal state ``diag(a^2)`` drops every phase: its
 Gram matrix is ``(a a^T)`` times ``P`` entry by entry, its spectrum is taken
 in real arithmetic, and the kernel takes one spectrum per distinct radius
@@ -36,11 +43,13 @@ distribution, or a Cartesian trapezoid grid, each with a coarser companion
 rule whose difference is the error estimate; for two modes seeded
 importance-sampling Monte Carlo, with its standard error.
 The kernel integrates its outcomes chunk by chunk in the calling thread,
-each chunk holding at most ``CHUNK_ENTRIES`` entries of the larger
-per-outcome stack (one outcome at the least); BLAS threads are its only
+each chunk holding at most ``CHUNK_ENTRIES`` entries of the per-outcome
+Gram stack (one outcome at the least); BLAS threads are its only
 parallelism.  Each call allocates one workspace of ``CHUNK_ENTRIES`` complex
 entries and writes its largest stacks there, so every call makes the same
-large allocation whatever its grid, state or predecessor.
+large allocation whatever its grid, state or predecessor.  The kept blocks
+are read-only and guarded by a lock, so calls from several threads share
+them safely.
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -50,7 +59,9 @@ against the quadrature mass budget; see :func:`validity_radius`.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
@@ -87,12 +98,13 @@ PRODUCT_TOL = 1e-14
 # Bound on the unrepresented tail of a truncated thermal state or product.
 TAIL_TOL = 1e-6
 
-# Entries of the larger per-outcome stack in one chunk: the Gram matrix
-# (``r^2`` per outcome) or a mode's ``X_k`` (``dim u_k``).  256 full-width
-# one-mode outcomes at dim 40.  Bounds the kernel's working memory at any mode
-# count and support size.  It is also the size, in complex entries, of the
-# workspace that every call allocates (larger only when a single outcome's
-# stack exceeds it).  A fixed size is the
+# Entries of the per-outcome stack in one chunk: the kernel's Gram matrices
+# (``r^2`` per outcome), or the block builder's ``X_k`` (``dim u_k`` per
+# radius).  256 full-width one-mode outcomes at dim 40.  Bounds the kernel's
+# working memory at any mode count and support size.  It is also the size, in
+# complex entries, of the workspace that every call allocates (larger only
+# when a single outcome's stack exceeds it), and the most that the blocks kept
+# across calls hold (see _mode_blocks).  A fixed size is the
 # point: glibc's malloc maps a block at or above its mmap threshold on its own
 # and unmaps it on free, so its pages fault afresh on every use, and it raises
 # the threshold to the size of each such block it frees.  The workspace sets
@@ -544,27 +556,64 @@ def monte_carlo_grid(
     return OutcomeGrid(points=points, weights=weights)
 
 
-def _block_product(radii, blocks, theta, factor, out, scratch) -> None:
-    """Write ``factor o P[S, S]`` at each row of ``radii`` into ``out``.
+# Each mode's blocks X_k^T X_k by key, least recently used first; see
+# _mode_blocks.
+_blocks: OrderedDict = OrderedDict()
+_blocks_lock = threading.Lock()
 
-    ``radii`` is ``(m, s)``, one radius tuple ``|z_k|`` per row.  ``blocks``
-    holds, per mode, the noise root times ``V``, the columns of ``V^dag`` at
-    the ``u_k`` levels the support uses, and ``P[S, S]``'s flat index into
-    ``X_k^T X_k``.  ``out`` and ``scratch`` are real ``(m, r^2)`` stacks;
-    the later modes' blocks pass through ``scratch``.  Per mode this is one
-    complex GEMM over every row, a batched ``X_k^T X_k``, a gather and an
-    in-place product.
+
+def _build_mode_blocks(dim: int, nbar: float, radii: np.ndarray,
+                       used: np.ndarray) -> np.ndarray:
+    """``(m, u^2)`` stack of one mode's ``X^T X``, one row per radius.
+
+    ``X = sqrt(rho_noise) D(r)^dag`` is real, ``dim x u`` on the ``u``
+    levels ``used``, at each of the ``m`` radii ``r`` in ``radii``.  It is
+    built chunk by chunk, each chunk's ``X`` stack at most
+    ``CHUNK_ENTRIES`` entries: one complex GEMM
+    ``(sqrt(rho_noise) V) @ (e^{i r theta} o V^dag[:, used])`` over the
+    chunk's radii, its real part, and a batched ``X^T X``.
     """
-    m, dim = radii.shape[0], theta.size
-    for k, (root, vd, flat) in enumerate(blocks):
-        # x: the real X_k of every row, as (row, level, dim)
-        x = vd[:, None, :] * np.exp(1j * np.outer(theta, radii[:, k]))[:, :, None]
-        x = (root @ x.reshape(dim, -1)).real.reshape(dim, m, -1).transpose(1, 2, 0)
-        # mode="clip" gathers straight into the stack; "raise" would buffer
-        # (``flat`` is in range by construction)
-        block = np.take((x @ x.transpose(0, 2, 1)).reshape(m, -1), flat, axis=1,
-                        out=scratch if k else out, mode="clip")
-        out *= block if k else factor
+    theta, v = _displacement_basis(dim)
+    root = np.sqrt(_thermal_diagonal(nbar, dim))[:, None] * v
+    vd = v.conj().T[:, used]
+    m, u = radii.size, used.size
+    stack = np.empty((m, u * u))
+    chunk = max(1, CHUNK_ENTRIES // (dim * u))
+    for start in range(0, m, chunk):
+        r = radii[start : start + chunk]
+        # x: the real X at each radius, as (radius, level, dim)
+        x = vd[:, None, :] * np.exp(1j * np.outer(theta, r))[:, :, None]
+        x = (root @ x.reshape(dim, -1)).real.reshape(dim, r.size, u).transpose(1, 2, 0)
+        np.matmul(x, x.transpose(0, 2, 1),
+                  out=stack[start : start + r.size].reshape(r.size, u, u))
+    return stack
+
+
+def _mode_blocks(dim: int, nbar: float, radii: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """:func:`_build_mode_blocks`, read-only and kept across calls.
+
+    The stack reads neither the state nor the outcomes' phases, so it is
+    kept on the key ``(dim, nbar, radii, used)`` (the arrays by their
+    bytes), least recently used out first, while the kept stacks hold at
+    most ``CHUNK_ENTRIES`` complex entries' bytes; a larger stack serves its
+    own call and is not kept.  Safe to call from several threads.
+    """
+    key = (dim, float(nbar), radii.tobytes(), used.tobytes())
+    with _blocks_lock:
+        stack = _blocks.get(key)
+        if stack is not None:
+            _blocks.move_to_end(key)
+            return stack
+    stack = _build_mode_blocks(dim, nbar, radii, used)
+    stack.flags.writeable = False
+    budget = CHUNK_ENTRIES * np.dtype(complex).itemsize
+    if stack.nbytes <= budget:
+        with _blocks_lock:
+            _blocks[key] = stack
+            held = sum(kept.nbytes for kept in _blocks.values())
+            while held > budget:
+                held -= _blocks.popitem(last=False)[1].nbytes
+    return stack
 
 
 def _er_outcome_terms(
@@ -589,33 +638,42 @@ def _er_outcome_terms(
     the phase ``e^{-i sum_k phi_k n_k}`` on each row, and
     ``P = (x)_k X_k^T X_k`` for the real ``X_k = sqrt(rho_noise,k)
     D(|z_k|)^dag``.  Only the ``u_k`` levels of mode ``k`` that ``S`` uses
-    are needed, so ``X_k`` is ``dim x u_k`` (see :func:`_block_product`),
-    and ``P[S, S]`` is gathered from the ``u_k x u_k`` blocks by a flat
-    index.  No ``D``-sized stack is built.
+    are needed, so ``X_k`` is ``dim x u_k``, and ``P[S, S]`` is gathered
+    from the ``u_k x u_k`` blocks by a flat index.  No ``D``-sized stack is
+    built.
 
     ``P`` reads the outcome only through its radii ``|z_k|``, and the phases
-    act only on ``W_phi``.  So the kernel takes the distinct radius tuples
-    of ``points`` (``np.unique`` on ``|points|``, exact float equality) and,
-    in each chunk, builds ``P`` once per distinct tuple among the chunk's
-    rows.  ``factor`` is ``W`` (2-D, ``r x r``) for a general state: each
-    outcome gathers its tuple's ``P`` and takes ``W_phi^dag P W_phi`` and
-    its spectrum, and ``rows`` is ``arange(n)``.  For a number-diagonal
-    state ``factor`` is 1-D, the amplitudes ``a`` of
-    ``rho[S, S] = diag(a^2)``, zeros allowed: ``W = diag(a)``, the row
-    phases act on it as a unitary on the right and drop out, and
-    ``G = (a a^T) o P[S, S]`` (``o`` entry by entry) is real and depends on
-    the radii alone.  Then the kernel integrates the distinct tuples, and
-    ``rows`` maps every point to its tuple's row of the results.  Either way
-    the values are those of a point-by-point evaluation, bit for bit: each
-    row's phase ``sum_k phi_k n_k`` is summed mode by mode, the same for one
-    point as for any batch.
+    act only on ``W_phi``.  So each mode takes the distinct radii of its
+    outcome column (a 1-D ``np.unique``, exact float equality) and its
+    blocks ``X_k^T X_k`` at those radii from :func:`_mode_blocks`, which
+    keeps them across calls on the key ``(dim, noise occupation, radii,
+    used levels)``: a call whose keys an earlier call built builds no block.
+    For ``s > 1`` the modes' radius indices combine into the distinct radius
+    tuples (``np.ravel_multi_index`` and a 1-D ``np.unique``), so each mode
+    builds each of its radii once, not once per tuple.  Each chunk forms
+    ``P`` once per distinct tuple among its rows, gathering each mode's
+    block by the flat index and multiplying them in mode order.
+    ``factor`` is ``W`` (2-D, ``r x r``) for a general state: each outcome
+    gathers its tuple's ``P`` and takes ``W_phi^dag P W_phi`` and its
+    spectrum, and ``rows`` is ``arange(n)``.  For a number-diagonal state
+    ``factor`` is 1-D, the amplitudes ``a`` of ``rho[S, S] = diag(a^2)``,
+    zeros allowed: ``W = diag(a)``, the row phases act on it as a unitary on
+    the right and drop out, and ``G = (a a^T) o P[S, S]`` (``o`` entry by
+    entry) is real and depends on the radii alone.  Then the kernel
+    integrates the distinct tuples, and ``rows`` maps every point to its
+    tuple's row of the results.  Either way the values are those of a
+    point-by-point evaluation, bit for bit, built or kept blocks alike:
+    each row's phase ``sum_k phi_k n_k`` is summed mode by mode, the same
+    for one point as for any batch.
 
-    Chunks hold at most ``CHUNK_ENTRIES`` entries of the larger per-outcome
-    stack, ``r^2`` for ``G`` or ``dim u_k`` for ``X_k``.  Each chunk writes
-    its ``P`` stack, the later modes' blocks and the ``P`` each outcome
-    gathers as reals into one workspace of ``CHUNK_ENTRIES`` complex entries
-    (see that constant): at most ``m`` distinct tuples and ``m`` outcomes
-    take ``2 m r^2`` reals.  The chunk size changes no bit of the results.
+    Chunks hold at most ``CHUNK_ENTRIES`` entries of the per-outcome stack,
+    ``r^2`` for ``G``.  Each chunk writes its ``P`` stack, the later modes'
+    gathered blocks and the ``P`` each outcome gathers as reals into one
+    workspace of ``CHUNK_ENTRIES`` complex entries (see that constant): at
+    most ``m`` distinct tuples and ``m`` outcomes take ``2 m r^2`` reals.
+    Besides, each mode's block stack holds ``u_k^2`` reals per distinct
+    radius of the whole column, kept or not.  The chunk size changes no bit
+    of the results, nor does the builder's.
 
     Returns ``(p, spectra, rows)``: the density ``p = tr G`` and the spectrum
     of ``G / p``, one row of ``r`` eigenvalues per integrated point,
@@ -626,27 +684,36 @@ def _er_outcome_terms(
     """
     rank = support.size
     modes = points.shape[1]
-    theta, v = _displacement_basis(dim)
     levels = np.array(np.unravel_index(support, (dim,) * modes))
-    # per mode: the noise root times V, V^dag at the support's levels, and
-    # P[S, S]'s flat index into X_k^T X_k
-    blocks = []
-    for nbar, level in zip(noise, levels):
+    # per mode: each outcome's index into the column's distinct radii, the
+    # blocks X_k^T X_k at those radii, and P[S, S]'s flat index into a block,
+    # None when P[S, S] is the block itself (always for one mode)
+    indices, stacks, flats = [], [], []
+    for nbar, level, column in zip(noise, levels, points.T):
         used, pos = np.unique(level, return_inverse=True)
-        flat = (pos[:, None] * used.size + pos[None, :]).ravel()
-        blocks.append((np.sqrt(_thermal_diagonal(nbar, dim))[:, None] * v,
-                       v.conj().T[:, used], flat))
-    radii, inverse = np.unique(np.abs(points), axis=0, return_inverse=True)
+        radii, index = np.unique(np.abs(column), return_inverse=True)
+        indices.append(index)
+        stacks.append(_mode_blocks(dim, nbar, radii, used))
+        flats.append(None if np.array_equal(pos, np.arange(rank))
+                     else (pos[:, None] * used.size + pos[None, :]).ravel())
+    # the distinct radius tuples, each as one radius index per mode
+    if modes == 1:
+        inverse, tuple_radii = indices[0], [np.arange(stacks[0].shape[0])]
+    else:
+        sizes = [stack.shape[0] for stack in stacks]
+        codes, inverse = np.unique(np.ravel_multi_index(indices, sizes),
+                                   return_inverse=True)
+        tuple_radii = np.unravel_index(codes, sizes)
     diagonal = factor.ndim == 1
     if diagonal:
         # G reads only the radii: integrate each distinct tuple once
-        tuples, rows = np.arange(radii.shape[0]), inverse
+        tuples, rows = np.arange(tuple_radii[0].size), inverse
         amplitudes = np.outer(factor, factor).ravel()
     else:
         tuples, rows = inverse, np.arange(points.shape[0])
         amplitudes = 1.0  # the blocks' product is P[S, S] itself
         phases = reduce(np.add, map(np.multiply.outer, np.angle(points).T, levels))
-    per_outcome = max(rank * rank, dim * max(vd.shape[1] for _, vd, _ in blocks))
+    per_outcome = rank * rank
     n = tuples.size
     chunk = max(1, CHUNK_ENTRIES // per_outcome)
     work = np.empty(max(CHUNK_ENTRIES, per_outcome), dtype=complex).view(float)
@@ -656,17 +723,25 @@ def _er_outcome_terms(
         stop = min(start + chunk, n)
         distinct, local = np.unique(tuples[start:stop], return_inverse=True)
         # the distinct tuples' P at the front of the workspace; behind it the
-        # later modes' blocks, then each outcome's gathered P over them
-        size = distinct.size * rank * rank
-        built, behind = work[:size].reshape(distinct.size, -1), work[size:]
-        _block_product(radii[distinct], blocks, theta, amplitudes, built,
-                       behind[:size].reshape(built.shape))
+        # later modes' gathered blocks, then each outcome's gathered P
+        size = distinct.size * per_outcome
+        built, behind = work[:size].reshape(distinct.size, per_outcome), work[size:]
+        for k, (stack, flat, radius) in enumerate(zip(stacks, flats, tuple_radii)):
+            # mode="clip" gathers straight into the stack; "raise" would
+            # buffer (every index is in range by construction)
+            ids, out = radius[distinct], behind[:size].reshape(built.shape) if k else built
+            if flat is None:
+                block = np.take(stack, ids, axis=0, out=out, mode="clip")
+            else:
+                block = np.take(stack, ids[:, None] * stack.shape[1] + flat, out=out,
+                                mode="clip")
+            built *= block if k else amplitudes
         if diagonal:
             gram = built.reshape(-1, rank, rank)
         else:
             m = stop - start
             p_stack = np.take(built, local, axis=0, mode="clip",
-                              out=behind[: m * rank * rank].reshape(m, -1))
+                              out=behind[: m * per_outcome].reshape(m, -1))
             p_stack = p_stack.reshape(m, rank, rank)
             # W_phi: W with the phase e^{-i sum_k phi_k n_k} on each row.
             # P W_phi is taken in real arithmetic on its interleaved real and

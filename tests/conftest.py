@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gaussmeter import fockoracle
 from gaussmeter.matfun import symplectic_form
+
+
+@pytest.fixture(autouse=True)
+def no_kept_blocks():
+    """Start every test with no measurement blocks kept from earlier calls,
+    so build counts and cold evaluations do not depend on test order."""
+    fockoracle._blocks.clear()
 
 
 @pytest.fixture

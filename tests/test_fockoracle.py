@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -63,6 +64,29 @@ def beam_splitter_state(dim):
     mixer = mixer @ np.kron(displacement(0.3 + 0.2j, dim), eye)
     full = mixer @ thermal_state((0.1, 0.02), dim) @ mixer.conj().T
     return 0.5 * (full + full.conj().T)
+
+
+def spy_builds(monkeypatch):
+    """The radius count of every stack of measurement blocks built from here
+    on, one entry per build; kept stacks are not builds."""
+    built = []
+    build = fockoracle._build_mode_blocks
+
+    def spy(dim, nbar, radii, used):
+        built.append(radii.size)
+        return build(dim, nbar, radii, used)
+
+    monkeypatch.setattr(fockoracle, "_build_mode_blocks", spy)
+    return built
+
+
+def pointwise_value(rho, noise, grid):
+    """The entropy reduction summed one outcome at a time from posterior_state."""
+    expected = von_neumann_entropy(rho)
+    for z, w in zip(grid.points, grid.weights):
+        post, p = posterior_state(rho, noise, z)
+        expected -= w * p * von_neumann_entropy(post)
+    return expected
 
 
 def coherent_state(amplitude, dim):
@@ -510,11 +534,13 @@ class TestChunking:
     def assert_chunking_invariant(monkeypatch, rho, noise, grid):
         """``(value, estimate)`` on the default chunks, on chunks of one
         outcome (``CHUNK_ENTRIES`` below any outcome's stack, so the workspace
-        is that stack) and on chunks of five full-support outcomes, equal."""
+        is that stack) and on chunks of five full-support outcomes, equal.
+        Each run builds its blocks afresh, in chunks of its own size."""
         default = er_numeric(rho, noise, grid, mass_tol=math.inf)
         support = np.count_nonzero(np.abs(rho).sum(axis=0))
         for entries in (1, 5 * support**2):
             monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", entries)
+            fockoracle._blocks.clear()
             assert er_numeric(rho, noise, grid, mass_tol=math.inf) == default
         monkeypatch.undo()
 
@@ -577,33 +603,31 @@ class TestWorkerThreads:
                             lambda a: chunks.append(a.shape[0]) or eigvalsh(a))
         monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", -(-202 // threads) * 40**2)
         monkeypatch.setenv("GAUSSMETER_THREADS", str(threads))
+        fockoracle._blocks.clear()
         assert er_numeric(rho, 1.0, grid) == unset
         assert len(chunks) == threads and sum(chunks) == 202
 
 
 class TestDistinctRadii:
-    """Every state builds the block product ``P[S, S]`` once per distinct
-    radius tuple; number-diagonal states also integrate each tuple once."""
+    """Each mode builds its blocks ``X_k^T X_k`` once per distinct radius of
+    its outcomes; number-diagonal states also integrate each radius tuple
+    once."""
 
     @staticmethod
     def evaluated(monkeypatch, rho, noise, grid, **options):
-        """``er_numeric``, how many posterior spectra it took and for how
-        many radius tuples it built ``P[S, S]``."""
-        spectra, tuples = [], []
+        """``er_numeric`` with no kept blocks, how many posterior spectra it
+        took and at how many radii it built blocks."""
+        fockoracle._blocks.clear()
+        spectra = []
         eigvalsh = np.linalg.eigvalsh
-        block_product = fockoracle._block_product
 
         def spy(a):
             spectra.append(a.shape[0])
             return eigvalsh(a)
 
-        def block_spy(radii, *args):
-            tuples.append(radii.shape[0])
-            return block_product(radii, *args)
-
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        monkeypatch.setattr(fockoracle, "_block_product", block_spy)
-        return er_numeric(rho, noise, grid, **options), sum(spectra), sum(tuples)
+        built = spy_builds(monkeypatch)
+        return er_numeric(rho, noise, grid, **options), sum(spectra), sum(built)
 
     @staticmethod
     def flipped(points, rng):
@@ -663,8 +687,8 @@ class TestDistinctRadii:
         grid = default_grid(1.0, 1.0)
         inside = grid.points[np.abs(grid.points) <= validity_radius(40, 1.0)]
         assert inside.size == 209
-        _, count, tuples = self.evaluated(monkeypatch, thermal_state(1.0, 40), 1.0, grid)
-        assert (tuples, count) == (33, 33)
+        _, count, built = self.evaluated(monkeypatch, thermal_state(1.0, 40), 1.0, grid)
+        assert (built, count) == (33, 33)
 
     def test_non_diagonal_state_takes_every_outcome(self, monkeypatch, rng):
         rho = random_low_energy_state(rng, 12, 40)
@@ -674,8 +698,147 @@ class TestDistinctRadii:
     def test_non_diagonal_state_builds_each_radius_tuple_once(self, monkeypatch, rng):
         # one chunk holds the 209 outcomes inside the radius, on 33 radii
         rho = random_low_energy_state(rng, 12, 40)
-        _, count, tuples = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
-        assert (tuples, count) == (33, 209)
+        _, count, built = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
+        assert (built, count) == (33, 209)
+
+    def test_joint_state_builds_each_mode_radius_once(self, monkeypatch):
+        # a non-product state on a 4 x 4 tensor grid: 16 radius tuples, but
+        # each mode builds its 4 radii once
+        first = np.array([0.3, 0.5j, -0.7, 0.6 - 0.6j])
+        second = np.array([0.2j, -0.45, 0.35 + 0.5j, -0.8j])
+        points = np.stack(np.meshgrid(first, second, indexing="ij"), axis=-1).reshape(16, 2)
+        grid = OutcomeGrid(points, np.full(16, 0.05))
+        rho, noise = beam_splitter_state(6), (0.05, 0.1)
+        (value, _), count, built = self.evaluated(monkeypatch, rho, noise, grid,
+                                                  mass_tol=math.inf)
+        assert (built, count) == (8, 16)
+        assert value == pytest.approx(pointwise_value(rho, noise, grid), abs=1e-12)
+
+
+class TestKeptBlocks:
+    """Each mode's blocks are kept across calls on the key ``(dim, noise,
+    radii, levels)``, within ``CHUNK_ENTRIES`` complex entries' bytes; a kept
+    block gives the bits of a built one."""
+
+    def test_warm_call_builds_nothing(self, monkeypatch, rng):
+        # a thermal state, a rank-12 state and a rank-12 product, whose modes
+        # are integrated apart
+        hermite = default_grid(1.0, 1.0)
+        product = np.kron(random_low_energy_state(rng, 12, 16),
+                          random_low_energy_state(rng, 12, 16))
+        cases = [(thermal_state(1.0, 40), 1.0, hermite),
+                 (random_low_energy_state(rng, 12, 40), 1.0, hermite),
+                 (product, (0.1, 0.3), monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5))]
+        built = spy_builds(monkeypatch)
+        for rho, noise, grid in cases:
+            fockoracle._blocks.clear()
+            cold = er_numeric(rho, noise, grid, mass_tol=math.inf)
+            assert sum(built) > 0
+            built.clear()
+            assert er_numeric(rho, noise, grid, mass_tol=math.inf) == cold
+            assert built == []
+
+    def test_kept_stacks_are_read_only(self):
+        er_numeric(thermal_state(1.0, 40), 1.0, default_grid(1.0, 1.0))
+        stacks = list(fockoracle._blocks.values())
+        assert len(stacks) == 1 and not stacks[0].flags.writeable
+        with pytest.raises(ValueError):
+            stacks[0][0, 0] = 0.0
+
+    def test_levels_are_part_of_the_key(self, rng):
+        # two states on one grid, noise and truncation, on levels 0-11 and on
+        # the levels {0, 3, 7, 11}: the second must not take the first's blocks
+        dim, noise = 40, 1.0
+        points = 0.6 * (rng.normal(size=5) + 1j * rng.normal(size=5))
+        grid = OutcomeGrid(points, rng.uniform(0.5, 1.5, size=5))
+        sparse = np.zeros((dim, dim), dtype=complex)
+        sparse[np.ix_([0, 3, 7, 11], [0, 3, 7, 11])] = random_low_energy_state(rng, 4, 4)
+        states = (random_low_energy_state(rng, 12, dim), sparse)
+        cold = []
+        for rho in states:
+            fockoracle._blocks.clear()
+            cold.append(er_numeric(rho, noise, grid, mass_tol=math.inf))
+        fockoracle._blocks.clear()
+        for rho, alone in zip(states, cold):
+            value, estimate = er_numeric(rho, noise, grid, mass_tol=math.inf)
+            assert (value, estimate) == alone
+            assert value == pytest.approx(pointwise_value(rho, noise, grid), abs=1e-12)
+        assert len(fockoracle._blocks) == 2
+
+    def test_budget_bounds_the_kept_stacks(self, monkeypatch, rng):
+        # 4 full-width outcomes of entries: 102400 bytes.  The 12-level
+        # states' blocks (33 radii, 38016 bytes) are kept, at most two at a
+        # time, the least recently used out first; the thermal state's
+        # (422400 bytes) serve their own call only, and evict nothing
+        grid = default_grid(1.0, 1.0)
+        rho = thermal_state(1.0, 40)
+        full = er_numeric(rho, 1.0, grid)
+        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", 4 * 40 * 40)
+        fockoracle._blocks.clear()
+        built = spy_builds(monkeypatch)
+        shifted = [np.diag(np.pad(rng.dirichlet(np.ones(12)), (k, 28 - k)))
+                   for k in range(3)]
+        er_numeric(shifted[0], 1.0, grid, mass_tol=math.inf)
+        assert er_numeric(rho, 1.0, grid) == full
+        assert er_numeric(rho, 1.0, grid) == full
+        assert built == [33, 33, 33] and len(fockoracle._blocks) == 1
+        for state in shifted[1:]:
+            er_numeric(state, 1.0, grid, mass_tol=math.inf)
+        assert built == [33] * 5 and len(fockoracle._blocks) == 2
+        assert sum(stack.nbytes for stack in fockoracle._blocks.values()) == 2 * 33 * 144 * 8
+        er_numeric(shifted[2], 1.0, grid, mass_tol=math.inf)
+        assert built == [33] * 5
+        er_numeric(shifted[0], 1.0, grid, mass_tol=math.inf)
+        assert built == [33] * 6
+
+    def test_threads_share_the_kept_blocks(self, monkeypatch, rng):
+        # more threads than cores, a short switch interval and room for two
+        # of the four states' blocks, so threads build, keep and evict at
+        # once: every result is its serial one's bits, and the kept stacks
+        # stay within the budget
+        grid = default_grid(1.0, 1.0)
+        states = [np.diag(np.pad(rng.dirichlet(np.ones(12)), (k, 28 - k)))
+                  for k in range(4)]
+        serial = [er_numeric(rho, 1.0, grid, mass_tol=math.inf) for rho in states]
+        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", 4 * 40 * 40)
+        fockoracle._blocks.clear()
+        results, errors = [], []
+
+        def work(offset):
+            try:
+                for i in range(12):
+                    k = (i + offset) % 4
+                    results.append((k, er_numeric(states[k], 1.0, grid, mass_tol=math.inf)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        assert len(results) == 48 and all(value == serial[k] for k, value in results)
+        held = sum(stack.nbytes for stack in fockoracle._blocks.values())
+        assert 0 < held <= 4 * 40 * 40 * 16
+
+    def test_no_outcome_inside_builds_nothing(self, monkeypatch):
+        # every outcome beyond the validity radius: the typed mass error, for
+        # one mode, a product and a joint state, and no block built
+        built = spy_builds(monkeypatch)
+        one_mode = OutcomeGrid(np.array([9.0 + 0j]), np.ones(1))
+        two_mode = OutcomeGrid(np.array([[9.0 + 0j, 9.0 + 0j]]), np.ones(1))
+        for rho, noise, grid in ((thermal_state(1.0, 40), 1.0, one_mode),
+                                 (thermal_state((0.2, 0.3), 12), (0.1, 0.1), two_mode),
+                                 (beam_splitter_state(6), (0.05, 0.1), two_mode)):
+            with pytest.raises(GridMassDeficit):
+                er_numeric(rho, noise, grid)
+        assert sum(built) == 0
 
 
 class TestProductSplit:
