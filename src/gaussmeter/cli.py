@@ -181,7 +181,7 @@ def load_sweep_spec(path: str):
     try:
         noises = [float(v) for v in doc["N"]]
         espec = doc["E"]
-        count = int(espec["count"])
+        count = espec["count"]
         emin, emax = float(espec["min"]), float(espec["max"])
         scale = espec.get("scale", "log")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -189,10 +189,15 @@ def load_sweep_spec(path: str):
             f"{path}: a sweep spec needs a list 'N' and an object 'E' with numeric "
             f"'min', 'max' and 'count' ({exc!r})"
         )
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"{path}: energy grid count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"{path}: energy grid count must be >= 1, got {count}")
-    if emin <= 0.0:
-        raise ValueError(f"{path}: energy grid min must be > 0, got {emin}")
+    for name, energy in (("min", emin), ("max", emax)):
+        if not 0.0 < energy < math.inf:
+            raise ValueError(
+                f"{path}: energy grid {name} must be positive and finite, got {energy}"
+            )
     if scale not in ("log", "linear"):
         raise ValueError(f"{path}: grid scale must be 'log' or 'linear', got {scale!r}")
     if count == 1:

@@ -37,7 +37,12 @@ recompose is split into one part per mode, each with its own posterior at
 every outcome; any other state is one part.  Each part is integrated on its
 own outcome columns, and the parts' results combine by products and outer
 products (a dim-16 two-mode thermal state takes two batches of ``16 x 16``
-spectra, and no ``256 x 256`` eigenproblem).  The quadrature rule is the
+spectra, and no ``256 x 256`` eigenproblem).  The input checks read a
+number-diagonal state (every off-diagonal entry exactly zero, one
+``count_nonzero`` pass over its ``D^2`` entries) on its diagonal alone:
+``max |rho|``, the asymmetry and the product test take the same values on
+its ``D`` diagonal entries as on all ``D^2``, since the rest are zeros in
+the state, its marginals and their recomposition.  The quadrature rule is the
 grid's: for one mode a Gauss-Hermite tensor rule scaled to the outcome
 distribution, or a Cartesian trapezoid grid, each with a coarser companion
 rule whose difference is the error estimate; for two modes seeded
@@ -181,21 +186,34 @@ def _thermal_diagonal(mean_number: float, dim: int) -> np.ndarray:
 def thermal_state(mean_number, dim: int) -> np.ndarray:
     """Thermal density operator, or a product of them for several modes.
 
+    The state is number-diagonal: the Kronecker product of the modes' thermal
+    distributions is written onto the diagonal of a complex zero matrix, the
+    same bits as ``kron`` of the modes' dense diagonal matrices, which are
+    never built.
+
     Args:
         mean_number: scalar occupation, or one occupation per mode.
         dim: per-mode truncation dimension.
 
     Raises:
+        DimensionMismatch: when no occupation is given, or ``dim`` keeps
+            fewer than 2 levels.
+        ValueError: when an occupation is negative or not finite.
         TruncationTooSmall: if the discarded mass exceeds :data:`TAIL_TOL`:
             the geometric tail ``t_k`` of a mode, or the product's
             ``1 - prod_k (1 - t_k)``, which is larger.
     """
     means = np.atleast_1d(np.asarray(mean_number, dtype=float))
+    if means.size == 0:
+        raise DimensionMismatch("a thermal state needs at least one mode")
     diagonals = [_thermal_diagonal(mean, dim) for mean in means]
     missing = 1.0 - math.prod(d.sum() for d in diagonals)
     if missing > TAIL_TOL:
         raise TruncationTooSmall(f"thermal product tail mass {missing:.2e} exceeds {TAIL_TOL:.0e}")
-    return reduce(np.kron, [np.diag(d) for d in diagonals]).astype(complex)
+    probs = reduce(np.multiply.outer, diagonals).ravel()
+    rho = np.zeros((probs.size, probs.size), dtype=complex)
+    np.fill_diagonal(rho, probs)
+    return rho
 
 
 @lru_cache(maxsize=8)
@@ -230,11 +248,13 @@ def displacement(z, dim: int) -> np.ndarray:
     amplitude reaches ``sqrt(dim)``).
 
     Raises:
+        DimensionMismatch: when ``dim`` keeps fewer than 2 levels.
         ValueError: if an amplitude is not finite.
         TruncationTooSmall: if the constructed matrix fails the unitarity
             check, which only happens on arithmetic blowup since the
             truncated generator is exactly anti-Hermitian.
     """
+    _check_levels(dim)
     amps = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.isfinite(amps).all():
         raise ValueError(f"displacement amplitudes must be finite, got {z}")
@@ -267,21 +287,41 @@ def povm_density(noise, z, dim: int) -> np.ndarray:
     return d_op @ thermal_state(noise, dim) @ d_op.conj().T
 
 
+def _check_square(op: np.ndarray, what: str) -> None:
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise DimensionMismatch(f"{what} must be a square matrix, got shape {op.shape}")
+
+
 def _as_density(rho) -> np.ndarray:
     """``rho`` as a complex array, rejected before any work unless it is a
     finite square matrix."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch(f"a state must be a square matrix, got shape {rho.shape}")
+    _check_square(rho, "a state")
     if not np.isfinite(rho).all():
         raise ValueError("density operator has non-finite entries")
     return rho
 
 
-def _check_density(rho: np.ndarray, w: np.ndarray, scale: float) -> None:
-    """Check Hermiticity, unit trace and positivity of ``rho``, with spectrum
-    ``w`` and ``scale = max |rho|``."""
-    defect = np.abs(rho - rho.conj().T).max(initial=0.0)
+def _density_entries(rho: np.ndarray) -> np.ndarray:
+    """The entries of ``rho`` that its input checks read.
+
+    ``rho``'s diagonal, a 1-D view, when every off-diagonal entry is exactly
+    zero (one ``count_nonzero`` pass over the ``D^2`` entries decides), else
+    ``rho`` itself.  The omitted entries are zeros, so ``max |rho|``, the
+    asymmetry ``rho - rho^dag`` and the product test take the same values on
+    the ``D`` diagonal entries as on all ``D^2``.
+    """
+    diagonal = np.diagonal(rho)
+    return diagonal if np.count_nonzero(rho) == np.count_nonzero(diagonal) else rho
+
+
+def _check_density(rho: np.ndarray, entries: np.ndarray, w: np.ndarray,
+                   scale: float) -> None:
+    """Check Hermiticity, unit trace and positivity of ``rho``, with
+    ``entries`` from :func:`_density_entries`, spectrum ``w`` and
+    ``scale = max |rho|``."""
+    # on a diagonal, .T changes nothing and the defect is max |2 Im rho_ii|
+    defect = np.abs(entries - entries.conj().T).max(initial=0.0)
     if defect > 1e-9 * (1.0 + scale):
         raise ValueError(f"density operator asymmetry {defect:.3e}")
     trace = np.trace(rho).real
@@ -299,19 +339,43 @@ def _spectrum_entropy(w: np.ndarray, base: LogBase) -> float:
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check shape (``DimensionMismatch``), finiteness, Hermiticity, unit
-    trace and positivity (``ValueError``) of a state."""
+    trace and positivity (``ValueError``) of a state.
+
+    A number-diagonal state (every off-diagonal entry exactly zero) is
+    checked on its diagonal: ``max |rho|`` and the asymmetry read its ``D``
+    entries, and its spectrum is its real diagonal, which ``eigvalsh``
+    returns for an exactly diagonal matrix bit for bit.  Any other state
+    takes ``eigvalsh`` and the ``D x D`` checks.
+    """
     rho = _as_density(rho)
-    _check_density(rho, np.linalg.eigvalsh(rho), np.abs(rho).max(initial=0.0))
+    entries = _density_entries(rho)
+    w = entries.real if entries.ndim == 1 else np.linalg.eigvalsh(rho)
+    _check_density(rho, entries, w, np.abs(entries).max(initial=0.0))
     return rho
 
 
 def von_neumann_entropy(rho: np.ndarray, base: LogBase = LogBase.BITS) -> float:
-    """Entropy of a PSD operator; eigenvalues below the noise floor are dropped."""
+    """Entropy of a PSD operator; eigenvalues below the noise floor are dropped.
+
+    Raises:
+        DimensionMismatch: when ``rho`` is not a square matrix.
+    """
+    rho = np.asarray(rho)
+    _check_square(rho, "a state")
     return _spectrum_entropy(np.linalg.eigvalsh(rho), base)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of the difference of two Hermitian operators."""
+    """Half the trace norm of the difference of two Hermitian operators.
+
+    Raises:
+        DimensionMismatch: when ``a`` is not a square matrix or ``b`` has
+            another shape.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    _check_square(a, "an operator")
+    if b.shape != a.shape:
+        raise DimensionMismatch(f"operators of shapes {a.shape} and {b.shape} differ")
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
@@ -371,7 +435,12 @@ def normal_moments(rho: np.ndarray) -> tuple[complex, float, complex]:
     """First, normal second, and anomalous second moments of a one-mode state.
 
     Returns ``(<a>, Tr a rho a^dag, <a a>)``.
+
+    Raises:
+        DimensionMismatch: when ``rho`` is not a square matrix.
     """
+    rho = np.asarray(rho)
+    _check_square(rho, "a state")
     a = annihilation(rho.shape[0])
     first = complex(np.trace(rho @ a))
     normal = float(np.trace(a @ rho @ a.conj().T).real)
@@ -772,14 +841,15 @@ def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nonzero = rho != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     block = rho[np.ix_(support, support)]
-    if np.count_nonzero(block) == np.count_nonzero(np.diag(block)):
-        w = np.diag(block).real
+    entries = _density_entries(block)
+    if entries.ndim == 1:
+        w = entries.real
         return support, w, np.sqrt(np.clip(w, 0.0, None))
     w, u = np.linalg.eigh(block)
     return support, w, u * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _product_parts(rho: np.ndarray, dim: int, modes: int,
+def _product_parts(rho: np.ndarray, entries: np.ndarray, dim: int, modes: int,
                    scale: float) -> list[np.ndarray]:
     """Independent parts of a state: ``[rho]``, or one operator per mode.
 
@@ -790,6 +860,11 @@ def _product_parts(rho: np.ndarray, dim: int, modes: int,
     ``R``'s spectrum stands in for ``rho``'s: by Weyl's bound they differ by
     at most ``||rho - R||_2 <= D PRODUCT_TOL max |rho|`` (2.6e-12 at
     ``D = 256``), inside the ``-1e-10`` positivity threshold for ``D < 10^4``.
+    When ``entries`` (see :func:`_density_entries`) is ``rho``'s diagonal,
+    every off-diagonal entry of ``rho``, of its marginals and so of ``R`` is
+    exactly zero, and the test compares ``R``'s diagonal, the outer product
+    of the marginals' diagonals, with ``rho``'s: no ``D x D`` matrix is
+    formed.
     """
     trace = np.trace(rho).real if modes > 1 else 0.0
     if trace == 0.0:  # one mode, or no state: the trace check rejects it
@@ -800,7 +875,11 @@ def _product_parts(rho: np.ndarray, dim: int, modes: int,
         shape = (dim**k, dim, dim ** (modes - k - 1)) * 2
         parts.append(np.einsum("aibajb->ij", rho.reshape(shape)) / trace)
     parts[0] = trace * parts[0]
-    if np.abs(reduce(np.kron, parts) - rho).max() > PRODUCT_TOL * scale:
+    if entries.ndim == 1:
+        departure = reduce(np.multiply.outer, map(np.diagonal, parts)).ravel() - entries
+    else:
+        departure = reduce(np.kron, parts) - rho
+    if np.abs(departure).max() > PRODUCT_TOL * scale:
         return [rho]
     return parts
 
@@ -822,7 +901,11 @@ def er_numeric(
 
     Every state is a list of independent parts (:func:`_product_parts`),
     each integrated on its own outcome columns.  ``H(rho)`` and the
-    positivity check read the outer product of the parts' spectra; an
+    positivity check read the outer product of the parts' spectra.  One
+    ``count_nonzero`` pass tests whether every off-diagonal entry of ``rho``
+    is exactly zero; when it is, ``max |rho|``, the product test and the
+    asymmetry check read ``rho``'s diagonal (``D`` entries) instead of all
+    ``D^2``, with the same values, since the omitted entries are zeros.  An
     outcome's density is the product of the parts' densities and its
     posterior spectrum the outer product of theirs, once per distinct tuple
     of the parts' rows, and :data:`P_MIN` and :data:`ENTROPY_FLOOR` apply
@@ -853,11 +936,12 @@ def er_numeric(
     n, modes = points.shape
     dim = _mode_dimension(rho, modes)
     noise_arr = _mode_occupations(noise, modes)
+    entries = _density_entries(rho)
     # max |rho| scales the product test and the asymmetry check alike
-    scale = np.abs(rho).max(initial=0.0)
-    factored = [_factor(part) for part in _product_parts(rho, dim, modes, scale)]
+    scale = np.abs(entries).max(initial=0.0)
+    factored = [_factor(part) for part in _product_parts(rho, entries, dim, modes, scale)]
     w = reduce(np.multiply.outer, [w_k for _, w_k, _ in factored]).ravel()
-    _check_density(rho, w, scale)
+    _check_density(rho, entries, w, scale)
     entropy_in = _spectrum_entropy(w, base)
 
     r_valid = min(validity_radius(dim, nbar) for nbar in noise_arr)
