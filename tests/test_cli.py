@@ -242,14 +242,29 @@ class TestSweep:
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, E={"min": 0.0, "max": 1.0, "count": 3})
         assert main(["sweep", "--spec", spec]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec}: ")
         grid = {"min": 1.0, "max": 2.0, "count": 3}
         path = tmp_path / "bad-spec.json"
         no_count = {"min": 1.0, "max": 2.0}
-        for doc in ({"N": [1.0]}, {"E": grid}, {"N": [1.0], "E": no_count},
-                    {"N": [1.0], "E": {**grid, "scale": "Log"}}, {"N": 1.0, "E": grid}):
+        docs = [{"N": [1.0]}, {"E": grid}, {"N": [1.0], "E": no_count},
+                {"N": [1.0], "E": {**grid, "scale": "Log"}}, {"N": 1.0, "E": grid}]
+        # a count that is no integer; a max that is not positive and finite,
+        # on either scale (numpy warned on the log scale, and an in-process
+        # call raised that warning under the suite's filter)
+        docs += [{"N": [1.0], "E": {**grid, "count": count}}
+                 for count in (2.5, True, "3")]
+        docs += [{"N": [1.0], "E": {**grid, "max": emax, "scale": scale}}
+                 for emax in (-1.0, 0.0, math.inf, math.nan)
+                 for scale in ("log", "linear")]
+        docs.append({"N": [1.0], "E": {**grid, "min": math.inf}})
+        for doc in docs:
             path.write_text(json.dumps(doc))
             assert main(["sweep", "--spec", str(path)]) == 2
-            assert str(path) in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        # 1e400 parses as inf
+        path.write_text('{"N": [1.0], "E": {"min": 1.0, "max": 1e400, "count": 3}}')
+        assert main(["sweep", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
         path.write_text("{not json")
         assert main(["sweep", "--spec", str(path)]) == 2
         assert f"{path}: invalid JSON at line 1, column 2" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import math
+import re
 import sys
 import threading
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -124,6 +126,15 @@ class TestThermalState:
         rho = thermal_state([0.5, 0.5], 14)
         assert rho.shape == (196, 196)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("means, dim", [((0.7,), 40), ((0.2, 0.3), 16),
+                                            ((0.1, 0.15, 0.05), 7)])
+    def test_equals_kron_of_diagonal_matrices(self, means, dim):
+        reference = reduce(np.kron, [np.diag(fockoracle._thermal_diagonal(mean, dim))
+                                     for mean in means]).astype(complex)
+        rho = thermal_state(means, dim)
+        assert rho.dtype == reference.dtype and rho.shape == reference.shape
+        assert rho.tobytes() == reference.tobytes()
 
     def test_product_tail_guard(self):
         # each mode's tail is 5.95e-7, within the bound; the product misses
@@ -892,6 +903,36 @@ class TestProductSplit:
             assert self.widths(monkeypatch, rho, noise, grid) == {support}
 
 
+class TestDiagonalChecks:
+    """A number-diagonal state's input checks read its diagonal, not all D^2 entries."""
+
+    def test_no_square_pass_after_the_zero_test(self, monkeypatch):
+        # a product thermal state and the diagonal mixture of two products,
+        # which is none: max |rho|, the product test and the asymmetry check
+        # read the 256 diagonal entries, so er_numeric calls no kron and takes
+        # no |.| of 256^2 entries
+        product = thermal_state((0.2, 0.3), 16)
+        mixed = 0.5 * (product + thermal_state((0.3, 0.2), 16))
+        grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
+        krons, sizes = [], []
+        kron, absolute = np.kron, np.abs
+
+        def spy_kron(*args):
+            krons.append(args)
+            return kron(*args)
+
+        def spy_abs(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return absolute(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "kron", spy_kron)
+        monkeypatch.setattr(np, "abs", spy_abs)
+        for rho in (product, mixed):
+            er_numeric(rho, (0.1, 0.3), grid, mass_tol=math.inf)
+        assert krons == []
+        assert max(sizes) < 256**2
+
+
 class TestMoments:
     def test_vacuum(self):
         first, lam, anom = normal_moments(thermal_state(0.0, 10))
@@ -981,25 +1022,53 @@ def test_validate_density_rejects_bad_trace():
         validate_density(0.9 * thermal_state(0.0, 6))
 
 
-def test_er_numeric_rejects_invalid_states():
-    # er_numeric's own density checks: a negative eigenvalue, an asymmetry and
-    # a wrong trace on one mode; a two-mode product with a negative eigenvalue
-    # in one part, seen in the parts' spectra; and a two-mode state of trace 0
+def invalid_states():
+    """States that fail a density check, each with a grid of its mode count
+    and the message of the check.  Every one is number-diagonal, and checked
+    on its diagonal, except those with an entry set off the diagonal, which
+    take the D x D checks."""
     one_mode = default_grid(1.0, 1.0)
     two_mode = monte_carlo_grid(np.diag([1.3, 1.6]), 12, seed=4)
-    skew = thermal_state(0.5, 20)
-    skew[0, 1] = 0.1
+    cases = []
+    for base, grid in ((thermal_state(0.5, 20), one_mode),
+                       (thermal_state((0.2, 0.1), 8), two_mode)):
+        imaginary, skew, infinite = base.copy(), base.copy(), base.copy()
+        imaginary[3, 3] += 1e-3j
+        skew[0, 1] = 0.1
+        infinite[2, 2] = np.inf
+        cases += [
+            (imaginary, grid, "density operator asymmetry 2.000e-03"),
+            (skew, grid, "density operator asymmetry 1.000e-01"),
+            (infinite, grid, "density operator has non-finite entries"),
+        ]
     negative = np.diag(np.pad([0.6, 0.5, -0.1], (0, 5))).astype(complex)
-    cases = [
-        (np.diag(np.pad([1.1, -0.1], (0, 18))), one_mode, "eigenvalue -1.000e-01"),
-        (skew, one_mode, "asymmetry"),
-        (1.01 * thermal_state(0.5, 20), one_mode, "trace 1.0"),
-        (np.kron(negative, thermal_state(0.2, 8)), two_mode, "eigenvalue -8.333e-02"),
-        (np.zeros((64, 64)), two_mode, "trace 0.0"),
+    cases += [
+        (np.diag(np.pad([1.1, -0.1], (0, 18))), one_mode,
+         "density operator has eigenvalue -1.000e-01"),
+        (1.01 * thermal_state(0.5, 20), one_mode,
+         "density operator trace 1.0099999997103346 is not 1 within 1e-6"),
+        (1.01 * thermal_state((0.2, 0.1), 8), two_mode,
+         "density operator trace 1.009999393960356 is not 1 within 1e-6"),
+        (np.kron(negative, thermal_state(0.2, 8)), two_mode,
+         "density operator has eigenvalue -8.333e-02"),
+        (np.zeros((64, 64)), two_mode, "density operator trace 0.0 is not 1 within 1e-6"),
     ]
-    for rho, grid, message in cases:
-        with pytest.raises(ValueError, match=message):
+    return cases
+
+
+def test_er_numeric_rejects_invalid_states():
+    # er_numeric's own density checks, on one mode and on two: a two-mode
+    # product with a negative eigenvalue in one part is seen in the parts'
+    # spectra, and a two-mode state of trace 0 stays one part
+    for rho, grid, message in invalid_states():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             er_numeric(rho, 0.5, grid)
+
+
+def test_validate_density_rejects_invalid_states():
+    for rho, _, message in invalid_states():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_density(rho)
 
 
 def test_validity_radius_monotone():
@@ -1093,6 +1162,23 @@ def test_monte_carlo_grid_rejects_bad_sample_count(count):
 def test_validity_radius_rejects_fewer_than_two_levels(dim):
     with pytest.raises(DimensionMismatch, match="at least 2 levels"):
         validity_radius(dim, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: thermal_state([], 8), "at least one mode"),
+    (lambda: trace_distance(np.eye(4), np.eye(3)), "differ"),
+    (lambda: trace_distance(np.eye(4, 3), np.eye(4, 3)), "square matrix"),
+    (lambda: von_neumann_entropy(np.eye(4, 3)), "square matrix"),
+    (lambda: von_neumann_entropy(np.full(4, 0.25)), "square matrix"),
+    (lambda: normal_moments(np.eye(4, 3) / 3), "square matrix"),
+    (lambda: displacement(0.0, 1), "at least 2 levels"),
+    (lambda: displacement(0.5, 0), "at least 2 levels"),
+], ids=["thermal_state-no-mode", "trace_distance-shapes", "trace_distance-rectangular",
+        "von_neumann_entropy-rectangular", "von_neumann_entropy-1d",
+        "normal_moments-rectangular", "displacement-one-level", "displacement-no-level"])
+def test_degenerate_inputs_raise_dimension_mismatch(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call()
 
 
 @pytest.mark.parametrize("lam, noise", [(-5.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
