@@ -901,11 +901,9 @@ def er_numeric(
 
     Every state is a list of independent parts (:func:`_product_parts`),
     each integrated on its own outcome columns.  ``H(rho)`` and the
-    positivity check read the outer product of the parts' spectra.  One
-    ``count_nonzero`` pass tests whether every off-diagonal entry of ``rho``
-    is exactly zero; when it is, ``max |rho|``, the product test and the
-    asymmetry check read ``rho``'s diagonal (``D`` entries) instead of all
-    ``D^2``, with the same values, since the omitted entries are zeros.  An
+    positivity check read the outer product of the parts' spectra, and a
+    number-diagonal ``rho`` takes its other checks and the product test on
+    its diagonal alone (:func:`_density_entries`), with the same values.  An
     outcome's density is the product of the parts' densities and its
     posterior spectrum the outer product of theirs, once per distinct tuple
     of the parts' rows, and :data:`P_MIN` and :data:`ENTROPY_FLOOR` apply
