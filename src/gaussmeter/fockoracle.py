@@ -37,16 +37,16 @@ recompose is split into one part per mode, each with its own posterior at
 every outcome; any other state is one part.  Each part is integrated on its
 own outcome columns, and the parts' results combine by products and outer
 products (a dim-16 two-mode thermal state takes two batches of ``16 x 16``
-spectra, and no ``256 x 256`` eigenproblem).  The input checks read a
+spectra, and no ``256 x 256`` eigenproblem).  ``er_numeric`` reads a
 number-diagonal state (every off-diagonal entry exactly zero, one
 ``count_nonzero`` pass over its ``D^2`` entries) on its diagonal alone:
-``max |rho|``, the asymmetry and the product test take the same values on
-its ``D`` diagonal entries as on all ``D^2``, since the rest are zeros in
-the state, its marginals and their recomposition.  The quadrature rule is the
-grid's: for one mode a Gauss-Hermite tensor rule scaled to the outcome
-distribution, or a Cartesian trapezoid grid, each with a coarser companion
-rule whose difference is the error estimate; for two modes seeded
-importance-sampling Monte Carlo, with its standard error.
+``max |rho|``, the asymmetry, the product test and the support take the
+same values on its ``D`` diagonal entries as on all ``D^2``, since the rest
+are zeros in the state, its marginals and their recomposition.  The
+quadrature rule is the grid's: for one mode a Gauss-Hermite tensor rule
+scaled to the outcome distribution, or a Cartesian trapezoid grid, each
+with a coarser companion rule whose difference is the error estimate; for
+two modes seeded importance-sampling Monte Carlo, with its standard error.
 The kernel integrates its outcomes chunk by chunk in the calling thread,
 each chunk holding at most ``CHUNK_ENTRIES`` entries of the per-outcome
 Gram stack (one outcome at the least); BLAS threads are its only
@@ -302,26 +302,25 @@ def _as_density(rho) -> np.ndarray:
     return rho
 
 
-def _density_entries(rho: np.ndarray) -> np.ndarray:
-    """The entries of ``rho`` that its input checks read.
-
-    ``rho``'s diagonal, a 1-D view, when every off-diagonal entry is exactly
-    zero (one ``count_nonzero`` pass over the ``D^2`` entries decides), else
-    ``rho`` itself.  The omitted entries are zeros, so ``max |rho|``, the
-    asymmetry ``rho - rho^dag`` and the product test take the same values on
-    the ``D`` diagonal entries as on all ``D^2``.
-    """
-    diagonal = np.diagonal(rho)
-    return diagonal if np.count_nonzero(rho) == np.count_nonzero(diagonal) else rho
+def _is_number_diagonal(rho: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of ``rho`` is exactly zero, decided
+    by one ``count_nonzero`` pass over its ``D^2`` entries.  On such a state
+    ``max |rho|``, the asymmetry ``rho - rho^dag`` and the product test take
+    the same values on the ``D`` diagonal entries as on all ``D^2``."""
+    return np.count_nonzero(rho) == np.count_nonzero(np.diagonal(rho))
 
 
-def _check_density(rho: np.ndarray, entries: np.ndarray, w: np.ndarray,
-                   scale: float) -> None:
-    """Check Hermiticity, unit trace and positivity of ``rho``, with
-    ``entries`` from :func:`_density_entries`, spectrum ``w`` and
-    ``scale = max |rho|``."""
-    # on a diagonal, .T changes nothing and the defect is max |2 Im rho_ii|
-    defect = np.abs(entries - entries.conj().T).max(initial=0.0)
+def _check_density(rho: np.ndarray, w: np.ndarray, scale: float,
+                   number_diagonal: bool = False) -> None:
+    """Check Hermiticity, unit trace and positivity of ``rho``, with spectrum
+    ``w``, ``scale = max |rho|`` and ``number_diagonal`` from
+    :func:`_is_number_diagonal`."""
+    if number_diagonal:
+        # rho - rho^dag is zero off the diagonal and 2i Im rho_ii on it
+        diagonal = np.diagonal(rho)
+        defect = np.abs(diagonal - diagonal.conj()).max(initial=0.0)
+    else:
+        defect = np.abs(rho - rho.conj().T).max(initial=0.0)
     if defect > 1e-9 * (1.0 + scale):
         raise ValueError(f"density operator asymmetry {defect:.3e}")
     trace = np.trace(rho).real
@@ -339,18 +338,9 @@ def _spectrum_entropy(w: np.ndarray, base: LogBase) -> float:
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check shape (``DimensionMismatch``), finiteness, Hermiticity, unit
-    trace and positivity (``ValueError``) of a state.
-
-    A number-diagonal state (every off-diagonal entry exactly zero) is
-    checked on its diagonal: ``max |rho|`` and the asymmetry read its ``D``
-    entries, and its spectrum is its real diagonal, which ``eigvalsh``
-    returns for an exactly diagonal matrix bit for bit.  Any other state
-    takes ``eigvalsh`` and the ``D x D`` checks.
-    """
+    trace and positivity (``ValueError``) of a state."""
     rho = _as_density(rho)
-    entries = _density_entries(rho)
-    w = entries.real if entries.ndim == 1 else np.linalg.eigvalsh(rho)
-    _check_density(rho, entries, w, np.abs(entries).max(initial=0.0))
+    _check_density(rho, np.linalg.eigvalsh(rho), np.abs(rho).max(initial=0.0))
     return rho
 
 
@@ -828,28 +818,31 @@ def _er_outcome_terms(
     return density, spectra, rows
 
 
-def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _factor(rho: np.ndarray,
+            number_diagonal: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Support ``S``, spectrum ``w`` and kernel factor of a state.
 
     ``rho`` is zero off its support (the states with a nonzero row or
     column), so one ``eigh`` of that block gives its nonzero spectrum and
     ``W``, ``rho[S, S] = W W^dag``.  Every eigenpair is kept: a spectral
     floor would tie the cost to a state's tail.  A number-diagonal state
-    skips ``eigh``, and its factor is the amplitudes ``sqrt(diag rho)``,
-    which drop the outcome's phases from the Gram matrix.
+    (``number_diagonal``, from :func:`_is_number_diagonal`) skips ``eigh``
+    and reads its diagonal alone: its support is the nonzero diagonal
+    entries, and its factor the amplitudes ``sqrt(diag rho)``, which drop
+    the outcome's phases from the Gram matrix.
     """
+    if number_diagonal:
+        diagonal = np.diagonal(rho)
+        support = np.flatnonzero(diagonal)
+        w = diagonal[support].real
+        return support, w, np.sqrt(np.clip(w, 0.0, None))
     nonzero = rho != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    block = rho[np.ix_(support, support)]
-    entries = _density_entries(block)
-    if entries.ndim == 1:
-        w = entries.real
-        return support, w, np.sqrt(np.clip(w, 0.0, None))
-    w, u = np.linalg.eigh(block)
+    w, u = np.linalg.eigh(rho[np.ix_(support, support)])
     return support, w, u * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _product_parts(rho: np.ndarray, entries: np.ndarray, dim: int, modes: int,
+def _product_parts(rho: np.ndarray, number_diagonal: bool, dim: int, modes: int,
                    scale: float) -> list[np.ndarray]:
     """Independent parts of a state: ``[rho]``, or one operator per mode.
 
@@ -860,8 +853,8 @@ def _product_parts(rho: np.ndarray, entries: np.ndarray, dim: int, modes: int,
     ``R``'s spectrum stands in for ``rho``'s: by Weyl's bound they differ by
     at most ``||rho - R||_2 <= D PRODUCT_TOL max |rho|`` (2.6e-12 at
     ``D = 256``), inside the ``-1e-10`` positivity threshold for ``D < 10^4``.
-    When ``entries`` (see :func:`_density_entries`) is ``rho``'s diagonal,
-    every off-diagonal entry of ``rho``, of its marginals and so of ``R`` is
+    When ``rho`` is number-diagonal (``number_diagonal``), every
+    off-diagonal entry of ``rho``, of its marginals and so of ``R`` is
     exactly zero, and the test compares ``R``'s diagonal, the outer product
     of the marginals' diagonals, with ``rho``'s: no ``D x D`` matrix is
     formed.
@@ -875,8 +868,9 @@ def _product_parts(rho: np.ndarray, entries: np.ndarray, dim: int, modes: int,
         shape = (dim**k, dim, dim ** (modes - k - 1)) * 2
         parts.append(np.einsum("aibajb->ij", rho.reshape(shape)) / trace)
     parts[0] = trace * parts[0]
-    if entries.ndim == 1:
-        departure = reduce(np.multiply.outer, map(np.diagonal, parts)).ravel() - entries
+    if number_diagonal:
+        departure = (reduce(np.multiply.outer, map(np.diagonal, parts)).ravel()
+                     - np.diagonal(rho))
     else:
         departure = reduce(np.kron, parts) - rho
     if np.abs(departure).max() > PRODUCT_TOL * scale:
@@ -903,7 +897,7 @@ def er_numeric(
     each integrated on its own outcome columns.  ``H(rho)`` and the
     positivity check read the outer product of the parts' spectra, and a
     number-diagonal ``rho`` takes its other checks and the product test on
-    its diagonal alone (:func:`_density_entries`), with the same values.  An
+    its diagonal alone (:func:`_is_number_diagonal`), with the same values.  An
     outcome's density is the product of the parts' densities and its
     posterior spectrum the outer product of theirs, once per distinct tuple
     of the parts' rows, and :data:`P_MIN` and :data:`ENTROPY_FLOOR` apply
@@ -934,12 +928,15 @@ def er_numeric(
     n, modes = points.shape
     dim = _mode_dimension(rho, modes)
     noise_arr = _mode_occupations(noise, modes)
-    entries = _density_entries(rho)
+    diagonal = _is_number_diagonal(rho)
     # max |rho| scales the product test and the asymmetry check alike
-    scale = np.abs(entries).max(initial=0.0)
-    factored = [_factor(part) for part in _product_parts(rho, entries, dim, modes, scale)]
+    scale = np.abs(np.diagonal(rho) if diagonal else rho).max(initial=0.0)
+    parts = _product_parts(rho, diagonal, dim, modes, scale)
+    # one part is rho itself, already tested; a mode's part is tested alone
+    factored = [_factor(part, diagonal if part is rho else _is_number_diagonal(part))
+                for part in parts]
     w = reduce(np.multiply.outer, [w_k for _, w_k, _ in factored]).ravel()
-    _check_density(rho, entries, w, scale)
+    _check_density(rho, w, scale, diagonal)
     entropy_in = _spectrum_entropy(w, base)
 
     r_valid = min(validity_radius(dim, nbar) for nbar in noise_arr)

@@ -908,14 +908,18 @@ class TestDiagonalChecks:
 
     def test_no_square_pass_after_the_zero_test(self, monkeypatch):
         # a product thermal state and the diagonal mixture of two products,
-        # which is none: max |rho|, the product test and the asymmetry check
-        # read the 256 diagonal entries, so er_numeric calls no kron and takes
-        # no |.| of 256^2 entries
+        # which is none: max |rho|, the product test, the asymmetry check and
+        # the support read the 256 diagonal entries, so er_numeric calls no
+        # kron, takes no |.| of 256^2 entries and copies no support block
         product = thermal_state((0.2, 0.3), 16)
         mixed = 0.5 * (product + thermal_state((0.3, 0.2), 16))
         grid = monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)
-        krons, sizes = [], []
-        kron, absolute = np.kron, np.abs
+        krons, sizes, blocks = [], [], []
+        kron, absolute, ix = np.kron, np.abs, np.ix_
+
+        def spy_ix(*args):
+            blocks.append(args)
+            return ix(*args)
 
         def spy_kron(*args):
             krons.append(args)
@@ -927,9 +931,11 @@ class TestDiagonalChecks:
 
         monkeypatch.setattr(np, "kron", spy_kron)
         monkeypatch.setattr(np, "abs", spy_abs)
+        monkeypatch.setattr(np, "ix_", spy_ix)
         for rho in (product, mixed):
             er_numeric(rho, (0.1, 0.3), grid, mass_tol=math.inf)
         assert krons == []
+        assert blocks == []
         assert max(sizes) < 256**2
 
 
@@ -1024,9 +1030,9 @@ def test_validate_density_rejects_bad_trace():
 
 def invalid_states():
     """States that fail a density check, each with a grid of its mode count
-    and the message of the check.  Every one is number-diagonal, and checked
-    on its diagonal, except those with an entry set off the diagonal, which
-    take the D x D checks."""
+    and the message of the check.  Every one is number-diagonal, which
+    er_numeric checks on its diagonal, except those with an entry set off
+    the diagonal.  A trace message prints the trace as the check sums it."""
     one_mode = default_grid(1.0, 1.0)
     two_mode = monte_carlo_grid(np.diag([1.3, 1.6]), 12, seed=4)
     cases = []
@@ -1045,14 +1051,14 @@ def invalid_states():
     cases += [
         (np.diag(np.pad([1.1, -0.1], (0, 18))), one_mode,
          "density operator has eigenvalue -1.000e-01"),
-        (1.01 * thermal_state(0.5, 20), one_mode,
-         "density operator trace 1.0099999997103346 is not 1 within 1e-6"),
-        (1.01 * thermal_state((0.2, 0.1), 8), two_mode,
-         "density operator trace 1.009999393960356 is not 1 within 1e-6"),
         (np.kron(negative, thermal_state(0.2, 8)), two_mode,
          "density operator has eigenvalue -8.333e-02"),
         (np.zeros((64, 64)), two_mode, "density operator trace 0.0 is not 1 within 1e-6"),
     ]
+    for rho, grid in ((1.01 * thermal_state(0.5, 20), one_mode),
+                      (1.01 * thermal_state((0.2, 0.1), 8), two_mode)):
+        trace = np.trace(rho).real
+        cases.append((rho, grid, f"density operator trace {trace} is not 1 within 1e-6"))
     return cases
 
 
