@@ -20,7 +20,7 @@ the outcome's number phase ``e^{-i sum_k phi_k n_k}`` on each row.  ``P``
 depends on the outcome only through the radii ``|z_k|``, and a mode's block
 only on the truncation, the mode's noise occupation, ``|z_k|`` and the
 levels used, never on the state.  So each mode builds its blocks once per
-distinct radius of its outcomes (33 radii for the 209 outcomes inside the
+distinct radius of its outcomes (17 radii for the 120 outcomes inside the
 validity radius of the default grid at dim 40, noise 1) and keeps them
 across calls on the key ``(dim, noise occupation, distinct radii, used
 levels)``, least recently used out first, while all kept blocks hold at
@@ -45,8 +45,9 @@ same values on its ``D`` diagonal entries as on all ``D^2``, since the rest
 are zeros in the state, its marginals and their recomposition.  The
 quadrature rule is the grid's: for one mode a Gauss-Hermite tensor rule
 scaled to the outcome distribution, or a Cartesian trapezoid grid, each
-with a coarser companion rule whose difference is the error estimate; for
-two modes seeded importance-sampling Monte Carlo, with its standard error.
+with a coarser companion rule on a subset of its points, whose difference
+is the error estimate; for two modes seeded importance-sampling Monte
+Carlo, with its standard error.
 The kernel integrates its outcomes chunk by chunk in the calling thread,
 each chunk holding at most ``CHUNK_ENTRIES`` entries of the per-outcome
 Gram stack (one outcome at the least); BLAS threads are its only
@@ -117,17 +118,24 @@ TAIL_TOL = 1e-6
 # from heap pages the process keeps, whatever sizes earlier calls used.
 CHUNK_ENTRIES = 256 * 40 * 40
 
-# Gauss-Hermite nodes per axis of the default one-mode rule and of its
-# companion.  The rules share no node, so together they take 20^2 + 15^2 = 625
-# outcomes.  More nodes buy nothing: at dim 40 the outer nodes already lie past
-# the validity radius and are dropped, and that cut, not the node count, sets
-# the accuracy (values wander by about 1e-6 on rank-12 states from 16 to 32).
+# Gauss-Hermite nodes per axis of the default one-mode rule, and the innermost
+# of them on which its companion, the interpolatory rule for the same Gaussian,
+# sits: 20^2 outcomes, 12^2 of them shared.  The companion is exact for degree
+# <= 11 per axis and costs no outcome of its own.  More nodes buy nothing: at
+# dim 40 the outer nodes already lie past the validity radius and are dropped,
+# and that cut, not the node count, sets the accuracy (values wander by about
+# 1e-6 on rank-12 states from 16 to 32).
 HERMITE_NODES = 20
-HERMITE_COMPANION_NODES = 15
+HERMITE_COMPANION_NODES = 12
 
 
 def annihilation(dim: int) -> np.ndarray:
-    """Single-mode lowering operator on the first ``dim`` number states."""
+    """Single-mode lowering operator on the first ``dim`` number states.
+
+    Raises:
+        DimensionMismatch: when ``dim`` keeps fewer than 2 levels.
+    """
+    _check_levels(dim)
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
@@ -196,14 +204,18 @@ def thermal_state(mean_number, dim: int) -> np.ndarray:
         dim: per-mode truncation dimension.
 
     Raises:
-        DimensionMismatch: when no occupation is given, or ``dim`` keeps
-            fewer than 2 levels.
+        DimensionMismatch: when no occupation is given, the occupations are
+            not a scalar or a 1-D array, or ``dim`` keeps fewer than 2 levels.
         ValueError: when an occupation is negative or not finite.
         TruncationTooSmall: if the discarded mass exceeds :data:`TAIL_TOL`:
             the geometric tail ``t_k`` of a mode, or the product's
             ``1 - prod_k (1 - t_k)``, which is larger.
     """
     means = np.atleast_1d(np.asarray(mean_number, dtype=float))
+    if means.ndim > 1:
+        raise DimensionMismatch(
+            f"occupations must be a scalar or one per mode, got shape {means.shape}"
+        )
     if means.size == 0:
         raise DimensionMismatch("a thermal state needs at least one mode")
     diagonals = [_thermal_diagonal(mean, dim) for mean in means]
@@ -427,7 +439,8 @@ def normal_moments(rho: np.ndarray) -> tuple[complex, float, complex]:
     Returns ``(<a>, Tr a rho a^dag, <a a>)``.
 
     Raises:
-        DimensionMismatch: when ``rho`` is not a square matrix.
+        DimensionMismatch: when ``rho`` is not a square matrix, or is
+            ``1 x 1``: :func:`annihilation` needs at least 2 levels.
     """
     rho = np.asarray(rho)
     _check_square(rho, "a state")
@@ -538,39 +551,55 @@ def _hermite_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w1
 
 
-def _hermite_rule(nodes: int, variance: float) -> tuple[np.ndarray, np.ndarray]:
-    """``nodes x nodes`` Gauss-Hermite rule for densities near ``exp(-|z|^2/S)/S``.
+@lru_cache(maxsize=4)
+def _hermite_companion(nodes: int, inner: int) -> np.ndarray:
+    """Weights times ``exp(u^2)`` of the interpolatory rule for ``exp(-u^2)``
+    on the ``inner`` innermost of the ``nodes`` physicists' nodes ``u`` of
+    :func:`_hermite_nodes`, zero on the others.
 
-    The physicists' nodes ``u`` are scaled by ``sqrt(S)`` on both axes, and
-    their weights carry ``exp(u^2)`` back out, so the rule applies to the
-    density itself against ``d^2z / pi``.  It is exact for that Gaussian
-    times any polynomial of degree below ``2 nodes`` per axis.
+    The nodes are symmetric and sorted, so the innermost are the middle ones.
+    The weights solve the moment equations in the Hermite basis,
+    ``sum_j w_j H_k(u_j) = sqrt(pi) [k = 0]`` for ``k < inner``, so the rule
+    is exact for polynomials of degree below ``inner``.  The array is
+    read-only: every call with ``nodes`` and ``inner`` shares it.
     """
-    u, w1 = _hermite_nodes(nodes)
-    axis = math.sqrt(variance) * u
-    points = axis[:, None] + 1j * axis[None, :]
-    return points.ravel(), (variance / math.pi * np.outer(w1, w1)).ravel()
+    u, _ = _hermite_nodes(nodes)
+    kept = slice((nodes - inner) // 2, (nodes + inner) // 2)
+    moments = np.zeros(inner)
+    moments[0] = math.sqrt(math.pi)
+    vander = np.polynomial.hermite.hermvander(u[kept], inner - 1)
+    w1 = np.zeros(nodes)
+    w1[kept] = np.linalg.solve(vander.T, moments) * np.exp(u[kept] ** 2)
+    w1.flags.writeable = False
+    return w1
 
 
 def default_grid(mean_correlation: float, noise: float) -> OutcomeGrid:
     """Gauss-Hermite rule scaled to the outcome covariance ``S = lambda + N + 1``.
 
-    ``points`` is the union of the ``HERMITE_NODES`` rule and its
-    ``HERMITE_COMPANION_NODES`` companion; ``weights`` is the fine rule (zero
-    on the companion's points) and ``coarse`` the companion (zero on the fine
-    rule's points).
+    The physicists' nodes ``u`` of the ``HERMITE_NODES`` rule are scaled by
+    ``sqrt(S)`` on both axes, and their weights carry ``exp(u^2)`` back out,
+    so ``weights`` applies to the outcome density itself against
+    ``d^2z / pi``; it is exact for that Gaussian times any polynomial of
+    degree below ``2 HERMITE_NODES`` per axis.  ``coarse`` is the companion,
+    the interpolatory rule for the same Gaussian on the tensor square of the
+    ``HERMITE_COMPANION_NODES`` innermost nodes (:func:`_hermite_companion`),
+    zero on the other points: it costs no outcome of its own, and is exact
+    for degree below ``HERMITE_COMPANION_NODES`` per axis.
     """
     variance = mean_correlation + noise + 1.0
     if not 0.0 < variance < math.inf:
         raise ValueError(
             f"outcome variance lambda + N + 1 = {variance} must be positive and finite"
         )
-    fine_points, fine = _hermite_rule(HERMITE_NODES, variance)
-    coarse_points, coarse = _hermite_rule(HERMITE_COMPANION_NODES, variance)
+    u, w1 = _hermite_nodes(HERMITE_NODES)
+    c1 = _hermite_companion(HERMITE_NODES, HERMITE_COMPANION_NODES)
+    axis = math.sqrt(variance) * u
+    scale = variance / math.pi
     return OutcomeGrid(
-        points=np.concatenate([fine_points, coarse_points]),
-        weights=np.concatenate([fine, np.zeros(coarse.size)]),
-        coarse=np.concatenate([np.zeros(fine.size), coarse]),
+        points=(axis[:, None] + 1j * axis[None, :]).ravel(),
+        weights=(scale * np.outer(w1, w1)).ravel(),
+        coarse=(scale * np.outer(c1, c1)).ravel(),
     )
 
 

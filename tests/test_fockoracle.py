@@ -301,10 +301,10 @@ class TestOutcomeRules:
     def test_default_rules_integrate_outcome_gaussian(self, lam, noise):
         sigma = lam + noise + 1.0
         grid = default_grid(lam, noise)
-        # the fine rule and its companion sit on disjoint points
-        assert np.count_nonzero(grid.weights) == 400
-        assert np.count_nonzero(grid.coarse) == 225
-        assert not np.any(grid.weights * grid.coarse)
+        # the companion sits on 144 of the fine rule's 400 points
+        assert grid.points.size == np.count_nonzero(grid.weights) == 400
+        assert np.count_nonzero(grid.coarse) == 144
+        assert not np.any(grid.coarse[grid.weights == 0])
         density = np.exp(-np.abs(grid.points) ** 2 / sigma) / sigma
         for weights in (grid.weights, grid.coarse):
             assert np.sum(weights * density) == pytest.approx(1.0, abs=1e-12)
@@ -314,28 +314,46 @@ class TestOutcomeRules:
     def test_default_grid_reuses_hermite_nodes(self, monkeypatch):
         default_grid(1.0, 1.0)
         hermgauss = np.polynomial.hermite.hermgauss
+        hermvander = np.polynomial.hermite.hermvander
         calls = []
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
                             lambda n: calls.append(n) or hermgauss(n))
+        monkeypatch.setattr(np.polynomial.hermite, "hermvander",
+                            lambda x, n: calls.append(n) or hermvander(x, n))
         first = default_grid(1.0, 1.0)
-        first.points[:], first.weights[:] = 0.0, 0.0
+        first.points[:], first.weights[:], first.coarse[:] = 0.0, 0.0, 0.0
         grid = default_grid(0.5, 2.0)
         assert calls == []
         u, _ = fockoracle._hermite_nodes(fockoracle.HERMITE_NODES)
         with pytest.raises(ValueError):
             u[0] = 0.0
-        # bit-identical to the rule built from fresh nodes
+        c1 = fockoracle._hermite_companion(fockoracle.HERMITE_NODES,
+                                           fockoracle.HERMITE_COMPANION_NODES)
+        with pytest.raises(ValueError):
+            c1[0] = 0.0
+        # the fine rule bit-identical to the rule built from fresh nodes
         variance = 3.5
-        for nodes, weights in ((fockoracle.HERMITE_NODES, grid.weights),
-                               (fockoracle.HERMITE_COMPANION_NODES, grid.coarse)):
-            u, w = hermgauss(nodes)
-            axis = math.sqrt(variance) * u
-            w1 = w * np.exp(u * u)
-            points = (axis[:, None] + 1j * axis[None, :]).ravel()
-            mask = weights != 0.0
-            np.testing.assert_array_equal(grid.points[mask], points)
-            np.testing.assert_array_equal(
-                weights[mask], (variance / math.pi * np.outer(w1, w1)).ravel())
+        u, w = hermgauss(fockoracle.HERMITE_NODES)
+        axis = math.sqrt(variance) * u
+        w1 = w * np.exp(u * u)
+        np.testing.assert_array_equal(grid.points,
+                                      (axis[:, None] + 1j * axis[None, :]).ravel())
+        np.testing.assert_array_equal(
+            grid.weights, (variance / math.pi * np.outer(w1, w1)).ravel())
+        # the companion against the interpolatory rule on the 12 innermost
+        # nodes solved independently: each Lagrange basis polynomial (degree
+        # 11) integrated by the 20-node rule, which is exact to degree 39
+        inner = u[4:16]
+        basis = np.ones((u.size, inner.size))
+        for j in range(inner.size):
+            for m in np.delete(np.arange(inner.size), j):
+                basis[:, j] *= (u - inner[m]) / (inner[j] - inner[m])
+        expected = np.zeros(u.size)
+        expected[4:16] = (w @ basis) * np.exp(inner * inner)
+        assert np.all(expected[4:16] > 0.0)
+        np.testing.assert_allclose(
+            grid.coarse, (variance / math.pi * np.outer(expected, expected)).ravel(),
+            rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("radius, step", [
         (math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan),
@@ -367,6 +385,18 @@ class TestOutcomeRules:
         coarse, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, half.ravel()))
         assert value == fine
         assert estimate == pytest.approx(abs(fine - coarse), abs=1e-15)
+
+    def test_default_companion_leaves_the_value(self, rng):
+        # the companion shares the fine rule's points, so the value is the
+        # fine rule's alone, and the estimate the two rules' difference
+        grid = default_grid(1.0, 1.0)
+        for rho in (thermal_state(1.0, 40), random_low_energy_state(rng, 12, 40)):
+            value, estimate = er_numeric(rho, 1.0, grid)
+            fine, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, grid.weights))
+            coarse, _ = er_numeric(rho, 1.0, OutcomeGrid(grid.points, grid.coarse),
+                                   mass_tol=math.inf)
+            assert value == pytest.approx(fine, abs=1e-15)
+            assert estimate == pytest.approx(abs(fine - coarse), abs=1e-15)
 
 
 class TestErNumeric:
@@ -692,25 +722,25 @@ class TestDistinctRadii:
             monkeypatch.setattr(fockoracle, "_er_outcome_terms", kernel)
             assert whole == alone
 
-    def test_default_grid_takes_33_spectra(self, monkeypatch):
-        # 209 of the 625 outcomes lie inside the validity radius at dim 40,
-        # noise 1, on 33 distinct radii
+    def test_default_grid_takes_17_spectra(self, monkeypatch):
+        # 120 of the 400 outcomes lie inside the validity radius at dim 40,
+        # noise 1, on 17 distinct radii
         grid = default_grid(1.0, 1.0)
         inside = grid.points[np.abs(grid.points) <= validity_radius(40, 1.0)]
-        assert inside.size == 209
+        assert inside.size == 120
         _, count, built = self.evaluated(monkeypatch, thermal_state(1.0, 40), 1.0, grid)
-        assert (built, count) == (33, 33)
+        assert (built, count) == (17, 17)
 
     def test_non_diagonal_state_takes_every_outcome(self, monkeypatch, rng):
         rho = random_low_energy_state(rng, 12, 40)
         _, count, _ = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
-        assert count == 209
+        assert count == 120
 
     def test_non_diagonal_state_builds_each_radius_tuple_once(self, monkeypatch, rng):
-        # one chunk holds the 209 outcomes inside the radius, on 33 radii
+        # one chunk holds the 120 outcomes inside the radius, on 17 radii
         rho = random_low_energy_state(rng, 12, 40)
         _, count, built = self.evaluated(monkeypatch, rho, 1.0, default_grid(1.0, 1.0))
-        assert (built, count) == (33, 209)
+        assert (built, count) == (17, 120)
 
     def test_joint_state_builds_each_mode_radius_once(self, monkeypatch):
         # a non-product state on a 4 x 4 tensor grid: 16 radius tuples, but
@@ -777,14 +807,14 @@ class TestKeptBlocks:
         assert len(fockoracle._blocks) == 2
 
     def test_budget_bounds_the_kept_stacks(self, monkeypatch, rng):
-        # 4 full-width outcomes of entries: 102400 bytes.  The 12-level
-        # states' blocks (33 radii, 38016 bytes) are kept, at most two at a
+        # 2 full-width outcomes of entries: 51200 bytes.  The 12-level
+        # states' blocks (17 radii, 19584 bytes) are kept, at most two at a
         # time, the least recently used out first; the thermal state's
-        # (422400 bytes) serve their own call only, and evict nothing
+        # (217600 bytes) serve their own call only, and evict nothing
         grid = default_grid(1.0, 1.0)
         rho = thermal_state(1.0, 40)
         full = er_numeric(rho, 1.0, grid)
-        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", 4 * 40 * 40)
+        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", 2 * 40 * 40)
         fockoracle._blocks.clear()
         built = spy_builds(monkeypatch)
         shifted = [np.diag(np.pad(rng.dirichlet(np.ones(12)), (k, 28 - k)))
@@ -792,15 +822,15 @@ class TestKeptBlocks:
         er_numeric(shifted[0], 1.0, grid, mass_tol=math.inf)
         assert er_numeric(rho, 1.0, grid) == full
         assert er_numeric(rho, 1.0, grid) == full
-        assert built == [33, 33, 33] and len(fockoracle._blocks) == 1
+        assert built == [17, 17, 17] and len(fockoracle._blocks) == 1
         for state in shifted[1:]:
             er_numeric(state, 1.0, grid, mass_tol=math.inf)
-        assert built == [33] * 5 and len(fockoracle._blocks) == 2
-        assert sum(stack.nbytes for stack in fockoracle._blocks.values()) == 2 * 33 * 144 * 8
+        assert built == [17] * 5 and len(fockoracle._blocks) == 2
+        assert sum(stack.nbytes for stack in fockoracle._blocks.values()) == 2 * 17 * 144 * 8
         er_numeric(shifted[2], 1.0, grid, mass_tol=math.inf)
-        assert built == [33] * 5
+        assert built == [17] * 5
         er_numeric(shifted[0], 1.0, grid, mass_tol=math.inf)
-        assert built == [33] * 6
+        assert built == [17] * 6
 
     def test_threads_share_the_kept_blocks(self, monkeypatch, rng):
         # more threads than cores, a short switch interval and room for two
@@ -811,7 +841,7 @@ class TestKeptBlocks:
         states = [np.diag(np.pad(rng.dirichlet(np.ones(12)), (k, 28 - k)))
                   for k in range(4)]
         serial = [er_numeric(rho, 1.0, grid, mass_tol=math.inf) for rho in states]
-        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", 4 * 40 * 40)
+        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", 2 * 40 * 40)
         fockoracle._blocks.clear()
         results, errors = [], []
 
@@ -836,7 +866,7 @@ class TestKeptBlocks:
         assert not any(thread.is_alive() for thread in threads) and errors == []
         assert len(results) == 48 and all(value == serial[k] for k, value in results)
         held = sum(stack.nbytes for stack in fockoracle._blocks.values())
-        assert 0 < held <= 4 * 40 * 40 * 16
+        assert 0 < held <= 2 * 40 * 40 * 16
 
     def test_no_outcome_inside_builds_nothing(self, monkeypatch):
         # every outcome beyond the validity radius: the typed mass error, for
@@ -1135,8 +1165,8 @@ def test_rejects_non_square_state(call):
 
 
 @pytest.mark.parametrize("field, values", [
-    ("weights", np.ones((625, 2))), ("coarse", np.ones(5)),
-    ("coarse", np.ones((625, 1)))])
+    ("weights", np.ones((400, 2))), ("coarse", np.ones(5)),
+    ("coarse", np.ones((400, 1)))])
 def test_outcome_grid_rejects_misshapen_weights(field, values):
     grid = default_grid(1.0, 1.0)
     rules = {"weights": grid.weights, "coarse": grid.coarse, field: values}
@@ -1179,9 +1209,15 @@ def test_validity_radius_rejects_fewer_than_two_levels(dim):
     (lambda: normal_moments(np.eye(4, 3) / 3), "square matrix"),
     (lambda: displacement(0.0, 1), "at least 2 levels"),
     (lambda: displacement(0.5, 0), "at least 2 levels"),
+    (lambda: thermal_state([[0.1, 0.2]], 8), "one per mode"),
+    (lambda: annihilation(0), "at least 2 levels"),
+    (lambda: annihilation(1), "at least 2 levels"),
+    (lambda: normal_moments(np.ones((1, 1))), "at least 2 levels"),
 ], ids=["thermal_state-no-mode", "trace_distance-shapes", "trace_distance-rectangular",
         "von_neumann_entropy-rectangular", "von_neumann_entropy-1d",
-        "normal_moments-rectangular", "displacement-one-level", "displacement-no-level"])
+        "normal_moments-rectangular", "displacement-one-level", "displacement-no-level",
+        "thermal_state-2d-occupations", "annihilation-no-level",
+        "annihilation-one-level", "normal_moments-one-level"])
 def test_degenerate_inputs_raise_dimension_mismatch(call, message):
     with pytest.raises(DimensionMismatch, match=message):
         call()
