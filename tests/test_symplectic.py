@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, sqrtm
 
 from conftest import random_admissible_cov, random_psd, random_symplectic
 from gaussmeter import matfun, symplectic
 from gaussmeter.errors import DimensionMismatch, InvalidCovariance, NoModes, NotSymmetric
-from gaussmeter.gauge import GaugeMeasurement, GaugeState, entropy_reduction_gauge
+from gaussmeter.gauge import (
+    GaugeMeasurement,
+    GaugeState,
+    entropy_reduction_gauge,
+    posterior_params,
+)
 from gaussmeter.matfun import symplectic_form, symplectic_spectrum
 from gaussmeter.symplectic import (
     GeneralMeasurement,
@@ -88,6 +93,55 @@ class TestPosteriorCovariance:
             out = posterior_covariance(alpha, beta)
             ok, margin = validate_covariance(out.cov, out.form)
             assert ok, f"margin {margin}"
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_matches_gauge_closed_form_under_squeezing(self, rng, s):
+        # a symplectic S with squeezing moves both covariances off the
+        # standard complex structure; the posterior moves with them, so it
+        # must equal S embed(Ntilde + I/2) S^T with Ntilde = N - R M^-1 R
+        eye = np.eye(s)
+        for _ in range(20):
+            state = GaugeState(random_psd(rng, s))
+            meas = GaugeMeasurement(random_psd(rng, s))
+            alpha, general = embed_gauge_invariant(state, meas)
+            sympl = random_symplectic(rng, s)
+            out = posterior_covariance(
+                RealCovariance(sympl @ alpha.cov @ sympl.T),
+                RealCovariance(sympl @ general.beta.cov @ sympl.T),
+            )
+            tilde = posterior_params(state, meas).correlation
+            expected = sympl @ embed_complex_correlation(tilde + eye / 2.0) @ sympl.T
+            np.testing.assert_allclose(out.cov, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_matches_shrink_factor_formula(self, rng, s):
+        # the formula as written: F = sqrt(I + (2 beta Delta^-1)^-2) and
+        # beta - F beta (alpha+beta)^-1 beta F^T, on noise that does not
+        # commute with Delta (no standard complex structure)
+        form = symplectic_form(s)
+        for _ in range(20):
+            alpha = random_admissible_cov(rng, s)
+            beta = random_admissible_cov(rng, s)
+            assert np.abs(beta @ form.matrix - form.matrix @ beta).max() > 1e-3
+            squared = 4.0 * np.linalg.matrix_power(beta @ form.inverse, 2)
+            factor = sqrtm(np.eye(2 * s) + np.linalg.inv(squared))
+            assert np.abs(factor.imag).max() < 1e-10
+            factor = factor.real
+            expected = beta - factor @ beta @ np.linalg.inv(alpha + beta) @ beta @ factor.T
+            out = posterior_covariance(RealCovariance(alpha), RealCovariance(beta))
+            np.testing.assert_allclose(out.cov, expected, rtol=0.0,
+                                       atol=1e-10 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_pure_noise_leaves_noise(self, rng, s):
+        # beta = S S^T / 2 has every nu = 1/2, so 1 - 1/(4 nu^2) is 0 up to
+        # roundoff of either sign, the factor vanishes and the posterior is beta
+        for _ in range(10):
+            sympl = random_symplectic(rng, s)
+            beta = RealCovariance(0.5 * sympl @ sympl.T)
+            alpha = RealCovariance(random_admissible_cov(rng, s))
+            out = posterior_covariance(alpha, beta)
+            np.testing.assert_allclose(out.cov, beta.cov, rtol=0.0, atol=1e-12)
 
 
 class TestEntropyReductionGeneral:
