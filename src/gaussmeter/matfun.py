@@ -66,19 +66,18 @@ class LogBase(enum.Enum):
             raise ValueError(f"unknown log base {name!r}; expected 'bits' or 'nats'")
 
 
-def as_hermitian(matrix, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def as_hermitian(matrix) -> np.ndarray:
     """Validate and symmetrize a square matrix expected to be Hermitian.
 
     Args:
         matrix: square array-like with finite entries.
-        rtol: relative tolerance on ``max|A - A^dag|``.
 
     Returns:
         The symmetrized copy ``(A + A^dag)/2`` as a complex array.
 
     Raises:
-        NotHermitian: if the asymmetry exceeds the tolerance or the shape
-            is not square.
+        NotHermitian: if ``max|A - A^dag| > HERMITICITY_RTOL (1 + max|A|)``
+            or the shape is not square.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -87,12 +86,12 @@ def as_hermitian(matrix, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise NotHermitian("matrix has non-finite entries")
     scale = 1.0 + np.abs(a).max(initial=0.0)
     asym = np.abs(a - a.conj().T).max(initial=0.0)
-    if asym > rtol * scale:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {rtol:.1e} * scale")
+    if asym > HERMITICITY_RTOL * scale:
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITICITY_RTOL:.1e} * scale")
     return (a + a.conj().T) / 2.0
 
 
-def as_symmetric(matrix, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def as_symmetric(matrix) -> np.ndarray:
     """Validate and symmetrize a real square matrix (complex only if real-valued)."""
     a = np.asarray(matrix)
     if np.iscomplexobj(a) and np.any(a.imag != 0.0):
@@ -105,8 +104,8 @@ def as_symmetric(matrix, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     if not math.isfinite(scale):
         raise NotSymmetric("matrix has non-finite entries")
     asym = np.abs(a - a.T).max(initial=0.0)
-    if asym > rtol * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {rtol:.1e} * scale")
+    if asym > HERMITICITY_RTOL * scale:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {HERMITICITY_RTOL:.1e} * scale")
     return (a + a.T) / 2.0
 
 
@@ -147,18 +146,17 @@ def g_scalar(x: float | np.ndarray, base: LogBase = LogBase.BITS) -> float | np.
     return float(out) if out.ndim == 0 else out
 
 
-def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray],
-                       clip: float = EIG_CLIP) -> np.ndarray:
+def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    Eigenvalues in ``[-clip, 0]`` are clipped to 0 before ``fn`` is applied.
+    Eigenvalues in ``[-EIG_CLIP, 0]`` (relative) are clipped to 0 first.
 
     Raises:
         NotHermitian: on invalid input.
-        NegativeEigenvalue: if an eigenvalue lies below ``-clip``.
+        NegativeEigenvalue: if an eigenvalue lies below that range.
     """
     w, u = np.linalg.eigh(as_hermitian(matrix))
-    return (u * fn(_clipped_spectrum(w, clip))) @ u.conj().T
+    return (u * fn(_clipped_spectrum(w, EIG_CLIP))) @ u.conj().T
 
 
 def _clipped_spectrum(w: np.ndarray, clip: float) -> np.ndarray:
@@ -246,17 +244,21 @@ def _as_covariance(alpha, form: SymplecticForm) -> np.ndarray:
     return a
 
 
-def _symplectic_spectrum(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
-    """:func:`symplectic_spectrum` of a validated symmetric ``2s x 2s`` matrix."""
+def _williamson_core(a: np.ndarray, form: SymplecticForm) -> tuple[np.ndarray, np.ndarray]:
+    """``(sqrt(a), sqrt(a) Delta^T a Delta sqrt(a))`` of a validated symmetric
+    ``2s x 2s`` matrix.  The second is PSD and similar to ``-(Delta^-1 a)^2``,
+    so its eigenvalues are the ``nu_j^2``, each twice."""
     w, u = np.linalg.eigh(a)
     if w.min() <= EIG_CLIP * (1.0 + w.max(initial=0.0)):
         raise NotPositiveDefinite(f"minimum eigenvalue {w.min():.3e}")
     root = (u * np.sqrt(w)) @ u.T
     delta = form.matrix
-    # -(Delta^-1 alpha)^2 is similar to the PSD matrix sqrt(a) Delta^T a Delta sqrt(a),
-    # so its spectrum can be taken from a Hermitian eigensolve.
-    core = root @ (delta.T @ a @ delta) @ root
-    squared = np.linalg.eigvalsh(core)
+    return root, root @ (delta.T @ a @ delta) @ root
+
+
+def _symplectic_spectrum(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
+    """:func:`symplectic_spectrum` of a validated symmetric ``2s x 2s`` matrix."""
+    squared = np.linalg.eigvalsh(_williamson_core(a, form)[1])
     nus = np.sqrt(np.clip(squared, 0.0, None))
     nus.sort()
     lo, hi = nus[0::2], nus[1::2]

@@ -3,9 +3,9 @@
 States and measurement noise are real symmetric ``2s x 2s`` covariance
 matrices over interleaved quadratures ``(x_1, p_1, ..., x_s, p_s)`` with
 the vacuum normalized to ``I/2``.  Provides admissibility checks, Gaussian
-state entropy, the posterior covariance of a Gaussian measurement, the
-resulting entropy reduction, and the embedding of phase-insensitive
-parameters into this representation.
+state entropy, the posterior covariance of a Gaussian measurement (one real
+path for every noise, through the noise's Williamson core), the resulting
+entropy reduction, and the embedding of phase-insensitive parameters.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InvalidCovariance, SingularSum
 from .gauge import GaugeMeasurement, GaugeState
@@ -24,6 +23,7 @@ from .matfun import (
     _as_covariance,
     _clipped_spectrum,
     _symplectic_spectrum,
+    _williamson_core,
     as_symmetric,
     g_scalar,
     symplectic_form,
@@ -108,41 +108,32 @@ def gaussian_entropy(alpha: RealCovariance, base: LogBase = LogBase.BITS) -> flo
     return float(g_scalar(np.maximum(alpha.spectrum - 0.5, 0.0), base).sum())
 
 
-def _sqrt_shrink_factor(beta: np.ndarray, form: SymplecticForm) -> np.ndarray:
-    """Square root of ``I + (2 beta Delta^-1)^-2``.
-
-    The argument has real spectrum ``1 - 1/(2 nu_j)^2 >= 0`` for admissible
-    ``beta``.  It is exactly symmetric for one mode and for noise sharing
-    the standard complex structure; then its root is taken through a real
-    ``eigh``, with eigenvalues in ``[-1e-10, 0]`` (relative) clipped to 0.
-    Otherwise the principal matrix square root realizes the formula as
-    written.
-    """
-    dinv = form.inverse
-    squared = 4.0 * (beta @ dinv) @ (beta @ dinv)
-    x = np.eye(beta.shape[0]) + np.linalg.inv(squared)
-    asym = np.abs(x - x.T).max(initial=0.0)
-    if asym <= SYMMETRY_PRECHECK_TOL * (1.0 + np.abs(x).max(initial=0.0)):
-        w, u = np.linalg.eigh((x + x.T) / 2.0)
-        root = (u * np.sqrt(_clipped_spectrum(w, 1e-10))) @ u.T
-    else:
-        root = scipy.linalg.sqrtm(x)
-        if np.abs(root.imag).max(initial=0.0) > 1e-8:
-            raise InvalidCovariance("square-root factor has a complex residue")
-        root = root.real
-    return root
+def _grow_factor(beta: RealCovariance) -> np.ndarray:
+    """``T = beta^1/2 Q diag(sqrt(1 - 1/(4 nu_j^2))) Q^T beta^1/2``, where
+    ``Q diag(nu_j^2) Q^T`` is the noise's Williamson core.  Values of
+    ``1 - 1/(4 nu_j^2)`` in ``[-1e-10, 0]`` (relative), roundoff at a pure
+    mode, are clipped to 0; lower ones raise ``NegativeEigenvalue``."""
+    root, core = _williamson_core(beta.cov, beta.form)
+    squared, q = np.linalg.eigh(core)
+    half = root @ q
+    return (half * np.sqrt(_clipped_spectrum(1.0 - 0.25 / squared, 1e-10))) @ half.T
 
 
 def posterior_covariance(alpha: RealCovariance, beta: RealCovariance) -> RealCovariance:
     """Covariance of the Gaussian posterior state of outcome-conditioned data.
 
-    Computes ``beta - F beta (alpha+beta)^-1 beta F^T`` where ``F`` is the
-    shrink factor of :func:`_sqrt_shrink_factor`; the right-hand factor of
-    the product is exactly the transpose of the left-hand one.  One ``eigh``
-    of the symmetric ``alpha + beta = U diag(w) U^T`` gives its 2-norm
-    condition number ``max|w| / min|w|`` and ``beta (alpha+beta)^-1 beta =
-    (beta U) diag(1/w) (beta U)^T``.  The result is symmetrized after a
-    roundoff pre-check and validated as admissible.
+    Computes ``beta - T (alpha+beta)^-1 T`` with the symmetric ``T`` of
+    :func:`_grow_factor`.  With the Williamson core
+    ``C = beta^1/2 Delta^T beta Delta beta^1/2``,
+    ``(beta Delta^-1)^2 = -beta^1/2 C beta^-1/2``, so the shrink factor
+    ``F = sqrt(I + (2 beta Delta^-1)^-2) = beta^1/2 sqrt(I - (4C)^-1) beta^-1/2``
+    has ``F beta = beta F^T = T``, and this is ``beta - F beta (alpha+beta)^-1
+    beta F^T``.  It is the real form of the gauge posterior
+    ``Ntilde = N - R M^-1 R``: for noise ``N + I/2`` embedded under the
+    standard complex structure, ``T`` embeds ``R = sqrt(N(N+I))``.  One
+    ``eigh`` of ``alpha + beta = U diag(w) U^T`` gives its condition number
+    ``max|w| / min|w|`` and ``T (alpha+beta)^-1 T = (TU) diag(1/w) (TU)^T``.
+    The result is symmetrized after a roundoff pre-check and validated.
 
     Raises:
         SingularSum: when that condition number exceeds ``CONDITION_LIMIT``.
@@ -153,10 +144,8 @@ def posterior_covariance(alpha: RealCovariance, beta: RealCovariance) -> RealCov
     magnitudes = np.abs(w)
     if magnitudes.max() > CONDITION_LIMIT * magnitudes.min():
         raise SingularSum(f"alpha + beta condition number exceeds {CONDITION_LIMIT:.0e}")
-    factor = _sqrt_shrink_factor(beta.cov, beta.form)
-    bu = beta.cov @ u
-    middle = (bu / w) @ bu.T
-    out = beta.cov - factor @ middle @ factor.T
+    tu = _grow_factor(beta) @ u
+    out = beta.cov - (tu / w) @ tu.T
     asym = np.abs(out - out.T).max(initial=0.0)
     if asym > SYMMETRY_PRECHECK_TOL * (1.0 + np.abs(out).max(initial=0.0)):
         raise InvalidCovariance(f"posterior covariance asymmetry {asym:.3e}")

@@ -104,6 +104,10 @@ class TestPosteriorCovariance:
             state = GaugeState(random_psd(rng, s))
             meas = GaugeMeasurement(random_psd(rng, s))
             alpha, general = embed_gauge_invariant(state, meas)
+            # under the standard complex structure T embeds R = sqrt(N(N+I))
+            np.testing.assert_allclose(symplectic._grow_factor(general.beta),
+                                       embed_complex_correlation(meas.grow),
+                                       rtol=0.0, atol=1e-12)
             sympl = random_symplectic(rng, s)
             out = posterior_covariance(
                 RealCovariance(sympl @ alpha.cov @ sympl.T),
