@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussmeter import capacity
+from gaussmeter import capacity, cli
 from gaussmeter.cli import format_sweep_csv, load_matrix_file, main
 from gaussmeter.capacity import sweep_one_mode
 
@@ -238,6 +238,46 @@ class TestSweep:
             "29225f294944c3fc38eef512daebe54f7662a0bdf5377dde0b9b8decb23d53f0")
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
             "9413ea2f0cf6bfb518f47c0f46571905b2b32f18760a8b1f068c4941ec36f865")
+
+    def test_single_energy_bytes_pinned(self, tmp_path):
+        # one energy makes every log-energy equal, so the chart widens its x
+        # range by one decade; digests recorded before the chart's points
+        # were computed as arrays
+        spec = self.write_spec(
+            tmp_path, N=[3.0, 0.0, 0.5], E={"min": 2.0, "max": 2.0, "count": 1},
+        )
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        assert main(["sweep", "--spec", spec, "--out", str(out),
+                     "--svg", str(svg)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "60b595b3072cc8bf709942d6da8b25a53b1eb2e181531bf3f6b7665dd82e69fd")
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "73ed9208951e76c04a06da7f7953be1505b7471245973a31c5925e2e6ad3e721")
+
+    def test_repeat_after_verify_is_identical(self, tmp_path, monkeypatch, capsys):
+        # main resolves the subcommand through the module on every call, so a
+        # replaced cmd_sweep is reached, and a verify run in between leaves
+        # the sweep's bytes as they were
+        calls = []
+        original = cli.cmd_sweep
+
+        def counted(args):
+            calls.append(args.spec)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_sweep", counted)
+        spec = self.write_spec(tmp_path)
+        outputs = []
+        for run in range(2):
+            out, svg = tmp_path / f"sweep-{run}.csv", tmp_path / f"sweep-{run}.svg"
+            assert main(["sweep", "--spec", spec, "--out", str(out),
+                         "--svg", str(svg)]) == 0
+            outputs.append((out.read_bytes(), svg.read_bytes()))
+            if run == 0:
+                assert main(["verify", "--case", "cp", "--seed", "7"]) == 0
+        assert outputs[0] == outputs[1]
+        assert calls == [spec, spec]
+        assert "PASS" in capsys.readouterr().out
 
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, E={"min": 0.0, "max": 1.0, "count": 3})

@@ -21,7 +21,7 @@ from gaussmeter.gauge import (
     posterior_params,
     sqrt_gaussian_params,
 )
-from gaussmeter.matfun import LogBase, g_scalar, g_trace, hermitian_function
+from gaussmeter.matfun import LogBase, as_hermitian, g_scalar, g_trace, hermitian_function
 
 ER_UNIT = 0.9182958340544896  # 2 - g(1/3), frozen
 
@@ -252,6 +252,24 @@ class TestDualChannel:
             assert ok
 
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_gain_is_posterior_gain_adjoint(self, rng, s):
+        # full-rank, singular and zero Lambda against random, singular and
+        # zero N; the gain is the posterior's to the last bit
+        lams = [random_psd(rng, s), random_psd(rng, s, scale=0.0)]
+        noises = [random_psd(rng, s), np.zeros((s, s), dtype=complex)]
+        if s > 1:
+            u = random_unitary(rng, s)
+            lams.append((u * np.r_[0.0, rng.uniform(0.2, 1.0, s - 1)]) @ u.conj().T)
+            noises.append((u * np.r_[rng.uniform(0.2, 1.0, s - 1), 0.0]) @ u.conj().T)
+        for lam in lams:
+            for noise in noises:
+                state, meas = GaugeState(lam), GaugeMeasurement(noise)
+                dual = dual_channel_params(state, meas)
+                expected = posterior_params(state, meas).gain.conj().T
+                assert np.array_equal(dual.gain, expected)
+
+
 class TestCpCertificate:
     def test_unit_case_margins(self):
         state, meas = one_mode(1.0, 1.0)
@@ -275,6 +293,22 @@ class TestCpCertificate:
             meas = GaugeMeasurement(random_psd(rng, s))
             ok, margin = cp_certificate(dual_channel_params(state, meas))
             assert ok, f"margin {margin}"
+
+
+    def test_margin_is_smaller_separate_minimum(self, rng):
+        # both sign choices, each by its own eigvalsh, to the last bit
+        cases = [one_mode(1.0, 1.0), one_mode(0.0, 0.0)]
+        for _ in range(60):
+            s = int(rng.integers(1, 5))
+            cases.append((GaugeState(random_psd(rng, s)),
+                          GaugeMeasurement(random_psd(rng, s))))
+        for state, meas in cases:
+            dual = dual_channel_params(state, meas)
+            form = as_hermitian(dual.noise_form)
+            half = (np.eye(state.s) - dual.gain.conj().T @ dual.gain) / 2.0
+            expected = min(np.linalg.eigvalsh(form - half).min(),
+                           np.linalg.eigvalsh(form + half).min())
+            assert cp_certificate(dual)[1] == float(expected)
 
 
 def test_state_rejects_indefinite_correlation():

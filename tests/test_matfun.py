@@ -216,3 +216,14 @@ def test_as_hermitian_symmetrizes(rng):
     jitter = a + 1e-13 * rng.normal(size=(3, 3))
     out = as_hermitian(jitter)
     np.testing.assert_allclose(out, out.conj().T)
+
+
+@pytest.mark.parametrize("entry", [
+    complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0),
+    complex(math.inf, math.nan), complex(1.0, math.nan),
+], ids=["nan", "inf", "-inf", "inf+nan*j", "nan-imag"])
+def test_as_hermitian_rejects_non_finite(entry):
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = entry
+    with pytest.raises(NotHermitian, match="^matrix has non-finite entries$"):
+        as_hermitian(a)
