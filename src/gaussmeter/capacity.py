@@ -167,7 +167,7 @@ def sweep_one_mode(
     assisted = cea_one_mode(energy, noise, base)
     unassisted = c_unassisted_one_mode(energy, noise, base)
     columns = (noise, energy, assisted, unassisted, assisted / unassisted)
-    return [SweepPoint(*row) for row in zip(*(c.tolist() for c in columns))]
+    return list(map(SweepPoint._make, zip(*(c.tolist() for c in columns))))
 
 
 class _ShellObjective:

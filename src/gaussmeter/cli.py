@@ -16,6 +16,7 @@ whose Frank-Wolfe gap exceeds ``capacity.GAP_TOL``, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -219,13 +220,15 @@ def format_sweep_csv(rows) -> str:
 def _svg_chart(rows, width: int = 640, height: int = 440) -> str:
     """Line chart of the gain vs energy (log x axis), one polyline per noise."""
     margin = 60
-    xs = [math.log10(row.energy) for row in rows]
-    ys = [row.gain for row in rows]
+    noises, energies, _, _, gains = zip(*rows)
+    xs = list(map(math.log10, energies))
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, max(ys) * 1.05
+    y_lo, y_hi = 0.0, max(gains) * 1.05
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
+    # px and py take a number for a tick or an array for a whole polyline,
+    # with the same operations in the same order either way
     def px(x):
         return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
 
@@ -261,9 +264,11 @@ def _svg_chart(rows, width: int = 640, height: int = 440) -> str:
         f'<text x="16" y="{height/2:.0f}" font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 16 {height/2:.0f})">gain</text>'
     )
+    pairs = map("%.2f,%.2f".__mod__,
+                zip(px(np.array(xs)).tolist(), py(np.array(gains)).tolist()))
     points = {}
-    for r, x in zip(rows, xs):
-        points.setdefault(r.noise, []).append(f"{px(x):.2f},{py(r.gain):.2f}")
+    for noise, pair in zip(noises, pairs):
+        points.setdefault(noise, []).append(pair)
     for idx, noise in enumerate(sorted(points)):
         color = colors[idx % len(colors)]
         parts.append(
@@ -317,40 +322,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state correlation matrix (JSON)")
     p.add_argument("--noise", required=True, help="measurement noise matrix (JSON)")
     p.add_argument("--base", choices=["bits", "nats"], default="bits")
-    p.set_defaults(func=cmd_er_gauge)
 
     p = sub.add_parser("er-general", help="general Gaussian entropy reduction")
     p.add_argument("--alpha", required=True, help="state covariance (JSON, 2s x 2s)")
     p.add_argument("--beta", required=True, help="noise covariance (JSON, 2s x 2s)")
     p.add_argument("--base", choices=["bits", "nats"], default="bits")
-    p.set_defaults(func=cmd_er_general)
 
     p = sub.add_parser("capacity", help="energy-constrained assisted capacity")
     p.add_argument("--noise", required=True, help="measurement noise matrix (JSON)")
     p.add_argument("--epsilon", required=True, help="energy matrix (JSON)")
     p.add_argument("--energy", type=float, required=True, help="mean-energy budget")
     p.add_argument("--base", choices=["bits", "nats"], default="bits")
-    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("sweep", help="one-mode capacity table")
     p.add_argument("--spec", required=True, help="sweep specification (JSON)")
     p.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
     p.add_argument("--svg", default=None, help="optional SVG chart path")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run Fock-engine cross-checks")
     p.add_argument("--case", choices=[*CASES, "all"], default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so that a replaced cmd_* function is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -148,15 +148,13 @@ def posterior_params(state: GaugeState, meas: GaugeMeasurement) -> GaugePosterio
     the correlation matrix is symmetrized after a Hermiticity check (exact
     Hermiticity holds analytically, floating point leaves a tiny defect).
     """
-    s = _check_dims(state, meas)
-    lam = state.correlation
-    m_inv = np.linalg.inv(lam + meas.noise + np.eye(s))
-    corr = meas.shrink @ lam @ m_inv @ meas.grow
-    defect = np.abs(corr - corr.conj().T).max(initial=0.0)
+    m_inv = np.linalg.inv(output_density_params(state, meas))
+    corr = meas.shrink @ state.correlation @ m_inv @ meas.grow
+    adj = corr.conj().T
+    defect = np.abs(corr - adj).max(initial=0.0)
     if defect > POSTERIOR_HERM_TOL * (1.0 + np.abs(corr).max(initial=0.0)):
         raise NotHermitian(f"posterior correlation defect {defect:.3e}")
-    corr = (corr + corr.conj().T) / 2.0
-    return GaugePosterior(gain=meas.grow @ m_inv, correlation=corr)
+    return GaugePosterior(gain=meas.grow @ m_inv, correlation=(corr + adj) / 2.0)
 
 
 def _entropy_reduction_gradient(
@@ -214,10 +212,16 @@ def sqrt_gaussian_params(meas: GaugeMeasurement) -> tuple[np.ndarray, float]:
 
 
 def dual_channel_params(state: GaugeState, meas: GaugeMeasurement) -> DualChannelParams:
-    """Gain and noise form of the Gaussian channel dual to the posterior map."""
-    s = _check_dims(state, meas)
-    gain = posterior_params(state, meas).gain
-    eye = np.eye(s)
+    """Gain and noise form of the Gaussian channel dual to the posterior map.
+
+    Only the posterior gain ``K = sqrt(N(N+I)) (Lambda+N+I)^-1`` is needed,
+    so it is computed alone, as :func:`posterior_params` computes it (bit
+    for bit), without the posterior correlation; ``gain`` is ``K^dag`` and
+    ``noise_form`` is ``((I+K) R^-1 (I+K)^dag + (I-K) R (I-K)^dag) / 4``
+    with ``R = (sqrt(N) + sqrt(N+I))^2``, symmetrized.
+    """
+    gain = meas.grow @ np.linalg.inv(output_density_params(state, meas))
+    eye = np.eye(state.s)
     # R = 2L + I = (sqrt(N) + sqrt(N+I))^2; both R and R^-1 are spectral
     # functions of the noise, finite for degenerate N.
     r = meas.spectral(lambda w: (np.sqrt(w) + np.sqrt(w + 1.0)) ** 2)
@@ -244,8 +248,6 @@ def cp_certificate(params: DualChannelParams) -> tuple[bool, float]:
     eye = np.eye(form.shape[0])
     gram = k_dag.conj().T @ k_dag  # K K^dag
     half = (eye - gram) / 2.0
-    margin = min(
-        np.linalg.eigvalsh(form - half).min(),
-        np.linalg.eigvalsh(form + half).min(),
-    )
+    # one stacked eigvalsh over both sign choices
+    margin = np.linalg.eigvalsh(np.stack((form - half, form + half))).min()
     return bool(margin >= -CP_MARGIN_TOL), float(margin)
