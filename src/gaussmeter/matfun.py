@@ -37,6 +37,11 @@ HERMITICITY_RTOL = 1e-10
 # correlation matrices are permitted everywhere).
 EIG_CLIP = 1e-12
 
+# eigh returns each eigenvalue of a symmetric n x n matrix to within a small
+# multiple of n eps max|w| (backward stability); a smaller minimum does not
+# show the matrix positive definite, and a larger one does.
+EIGH_RTOL = 8.0 * float(np.finfo(float).eps)
+
 # Relative tolerance for the duplicate-pair structure of symplectic spectra.
 PAIRING_RTOL = 1e-8
 
@@ -246,16 +251,26 @@ def _as_covariance(alpha, form: SymplecticForm) -> np.ndarray:
     return a
 
 
-def _williamson_core(a: np.ndarray, form: SymplecticForm) -> tuple[np.ndarray, np.ndarray]:
-    """``(sqrt(a), sqrt(a) Delta^T a Delta sqrt(a))`` of a validated symmetric
-    ``2s x 2s`` matrix.  The second is PSD and similar to ``-(Delta^-1 a)^2``,
-    so its eigenvalues are the ``nu_j^2``, each twice."""
+def _williamson_core(
+    a: np.ndarray, form: SymplecticForm
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(sqrt(a), C, max w)`` of a validated symmetric ``2s x 2s`` matrix
+    with eigenvalues ``w``, where ``C = sqrt(a) Delta^T a Delta sqrt(a)`` is
+    PSD and similar to ``-(Delta^-1 a)^2``, so its eigenvalues are the
+    ``nu_j^2``, each twice.
+
+    Raises:
+        NotPositiveDefinite: unless ``min w > EIGH_RTOL * 2s * max w``, the
+            backward error of the ``eigh`` that gives ``w``.  Any larger
+            condition number is accepted, so a strongly squeezed vacuum such
+            as ``diag(6e5, 1/2.4e6)`` is.
+    """
     w, u = np.linalg.eigh(a)
-    if w.min() <= EIG_CLIP * (1.0 + w.max(initial=0.0)):
-        raise NotPositiveDefinite(f"minimum eigenvalue {w.min():.3e}")
+    if w[0] <= EIGH_RTOL * a.shape[0] * w[-1]:
+        raise NotPositiveDefinite(f"minimum eigenvalue {w[0]:.3e}")
     root = (u * np.sqrt(w)) @ u.T
     delta = form.matrix
-    return root, root @ (delta.T @ a @ delta) @ root
+    return root, root @ (delta.T @ a @ delta) @ root, float(w[-1])
 
 
 def _symplectic_spectrum(a: np.ndarray, form: SymplecticForm) -> np.ndarray:

@@ -25,6 +25,7 @@ from gaussmeter.matfun import (
     symplectic_form,
     symplectic_spectrum,
 )
+from gaussmeter.symplectic import RealCovariance, gaussian_entropy
 
 # 8/3 - log2(3), frozen from an independent high-precision evaluation
 G_ONE_THIRD_BITS = 1.0817041659455104
@@ -201,6 +202,13 @@ class TestSymplecticSpectrum:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             symplectic_spectrum(np.diag([1.0, -1.0]), symplectic_form(1))
+
+    def test_strongly_squeezed_vacuum(self):
+        # condition number 1.44e12: admissible, and positive definite far
+        # beyond eigh's backward error; its core is exactly diag(1/4, 1/4)
+        alpha = np.diag([6e5, 1.0 / 2.4e6])
+        assert symplectic_spectrum(alpha, symplectic_form(1)).tolist() == [0.5]
+        assert gaussian_entropy(RealCovariance(alpha)) == 0.0
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, sqrtm
 
-from conftest import random_admissible_cov, random_psd, random_symplectic
+from conftest import random_admissible_cov, random_psd, random_symplectic, random_unitary
 from gaussmeter import matfun, symplectic
 from gaussmeter.errors import DimensionMismatch, InvalidCovariance, NoModes, NotSymmetric
 from gaussmeter.gauge import (
@@ -146,6 +146,48 @@ class TestPosteriorCovariance:
             alpha = RealCovariance(random_admissible_cov(rng, s))
             out = posterior_covariance(alpha, beta)
             np.testing.assert_allclose(out.cov, beta.cov, rtol=0.0, atol=1e-12)
+        # every mode squeezed to variance ratio 4 a^2, then mixed: the roundoff
+        # in nu^2 grows with beta's condition number, and the clip with it.
+        # A positive roundoff is kept, and its square root enters T, so the
+        # posterior is beta only to about 1e-7 relative at a = 1e4
+        for a in (10.0, 1e2, 1e3, 1e4):
+            sympl = random_symplectic(rng, s)
+            beta = sympl @ np.kron(np.eye(s), np.diag([a, 0.25 / a])) @ sympl.T
+            beta = RealCovariance((beta + beta.T) / 2.0)
+            out = posterior_covariance(RealCovariance(random_admissible_cov(rng, s)), beta)
+            np.testing.assert_allclose(out.cov, beta.cov, rtol=0.0,
+                                       atol=1e-6 * np.abs(beta.cov).max())
+
+    @pytest.mark.parametrize("a", [10.0, 1e2, 1e3, 1e4])
+    def test_rotated_squeezed_pure_noise_leaves_noise(self, rng, a):
+        # one-mode pure noise R diag(a, 1/(4a)) R^T; at theta = 0.7 and
+        # a = 1e3 a fixed clip of 1e-10 on 1 - 1/(4 nu^2) raised
+        for theta in (0.7, *rng.uniform(0.0, math.pi, 5)):
+            rot = np.array([[math.cos(theta), -math.sin(theta)],
+                            [math.sin(theta), math.cos(theta)]])
+            beta = RealCovariance(rot @ np.diag([a, 0.25 / a]) @ rot.T)
+            out = posterior_covariance(RealCovariance(random_admissible_cov(rng, 1)), beta)
+            np.testing.assert_allclose(out.cov, beta.cov, rtol=0.0,
+                                       atol=1e-6 * np.abs(beta.cov).max())
+
+    @pytest.mark.parametrize("n", [10.0, 1e2, 1e3])
+    def test_pure_mode_beside_strong_noise(self, rng, n):
+        # vacuum noise on one mode and thermal noise n on the other, mixed by
+        # a passive unitary O: the roundoff at the pure mode grows with
+        # max(w)^2, not with the condition number (n + 1/2) / (1/2).  The
+        # posterior moves with O, so it equals O (the unmixed posterior) O^T
+        beta0 = np.diag([0.5, 0.5, n + 0.5, n + 0.5])
+        for _ in range(10):
+            mix = embed_complex_correlation(random_unitary(rng, 2))
+            alpha0 = np.zeros((4, 4))
+            alpha0[:2, :2] = random_admissible_cov(rng, 1)
+            alpha0[2:, 2:] = random_admissible_cov(rng, 1)
+            unmixed = posterior_covariance(RealCovariance(alpha0), RealCovariance(beta0))
+            expected = mix @ unmixed.cov @ mix.T
+            out = posterior_covariance(RealCovariance(mix @ alpha0 @ mix.T),
+                                       RealCovariance(mix @ beta0 @ mix.T))
+            np.testing.assert_allclose(out.cov, expected, rtol=0.0,
+                                       atol=1e-9 * np.abs(expected).max())
 
 
 class TestEntropyReductionGeneral:
