@@ -310,7 +310,9 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="gaussmeter",
         description="Entropy reduction and assisted capacity of Gaussian measurements",
@@ -346,14 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`build_parser`, built once per process."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # looked up at call time, so that a replaced cmd_* function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

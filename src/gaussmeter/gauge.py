@@ -248,6 +248,5 @@ def cp_certificate(params: DualChannelParams) -> tuple[bool, float]:
     eye = np.eye(form.shape[0])
     gram = k_dag.conj().T @ k_dag  # K K^dag
     half = (eye - gram) / 2.0
-    # one stacked eigvalsh over both sign choices
     margin = np.linalg.eigvalsh(np.stack((form - half, form + half))).min()
     return bool(margin >= -CP_MARGIN_TOL), float(margin)
