@@ -81,8 +81,8 @@ def as_hermitian(matrix) -> np.ndarray:
         The symmetrized copy ``(A + A^dag)/2`` as a complex array.
 
     Raises:
-        NotHermitian: if ``max|A - A^dag| > HERMITICITY_RTOL (1 + max|A|)``
-            or the shape is not square.
+        NotHermitian: if ``max|A - A^dag| > HERMITICITY_RTOL (1 + max|A|)``,
+            an entry is not finite, or the shape is not square.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -39,8 +39,10 @@ CONDITION_LIMIT = 1e12
 
 # Roundoff allowance on 1 - 1/(4 nu^2) in _grow_factor, per mode dimension
 # and unit of 4 max(w)^2; over ten times the largest ratio (1.14) measured on
-# pure and partly pure noise.
+# pure and partly pure noise.  The allowance never falls below GROW_CLIP_MIN,
+# so no noise that a fixed clip of that size accepted is rejected.
 GROW_CLIP_RTOL = 16.0 * float(np.finfo(float).eps)
+GROW_CLIP_MIN = 1e-10
 
 
 def validate_covariance(alpha, form: SymplecticForm) -> tuple[bool, float]:
@@ -120,8 +122,9 @@ def _grow_factor(beta: RealCovariance) -> np.ndarray:
     At a pure mode ``1 - 1/(4 nu_j^2)`` is 0 up to roundoff of either sign.
     Forming ``C`` from ``beta^1/2`` and ``Delta^T beta Delta`` leaves an
     error of order ``eps max(w)^2`` in each ``nu_j^2``, for ``beta``'s
-    eigenvalues ``w``, so values in ``[-GROW_CLIP_RTOL * 2s * 4 max(w)^2, 0]``
-    (relative) are clipped to 0, and lower ones raise ``NegativeEigenvalue``.
+    eigenvalues ``w``, so values in ``[-clip, 0]`` (relative) are clipped to
+    0, and lower ones raise ``NegativeEigenvalue``, with
+    ``clip = max(GROW_CLIP_MIN, GROW_CLIP_RTOL * 2s * 4 max(w)^2)``.
     ``4 max(w)^2`` is at least ``beta``'s condition number ``max w / min w``,
     since an admissible ``beta`` has ``min w max w >= 1/4``, and equals it
     for pure noise.  ``max w`` comes from the ``eigh`` that builds ``C``.
@@ -129,7 +132,7 @@ def _grow_factor(beta: RealCovariance) -> np.ndarray:
     root, core, w_max = _williamson_core(beta.cov, beta.form)
     squared, q = np.linalg.eigh(core)
     half = root @ q
-    clip = GROW_CLIP_RTOL * core.shape[0] * 4.0 * w_max ** 2
+    clip = max(GROW_CLIP_MIN, GROW_CLIP_RTOL * core.shape[0] * 4.0 * w_max ** 2)
     return (half * np.sqrt(_clipped_spectrum(1.0 - 0.25 / squared, clip))) @ half.T
 
 
