@@ -251,7 +251,6 @@ class TestDualChannel:
             ok, _ = cp_certificate(dual)
             assert ok
 
-
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_gain_is_posterior_gain_adjoint(self, rng, s):
         # full-rank, singular and zero Lambda against random, singular and
@@ -293,7 +292,6 @@ class TestCpCertificate:
             meas = GaugeMeasurement(random_psd(rng, s))
             ok, margin = cp_certificate(dual_channel_params(state, meas))
             assert ok, f"margin {margin}"
-
 
     def test_margin_is_smaller_separate_minimum(self, rng):
         # both sign choices, each by its own eigvalsh, to the last bit

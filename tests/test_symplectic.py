@@ -161,7 +161,8 @@ class TestPosteriorCovariance:
     @pytest.mark.parametrize("a", [10.0, 1e2, 1e3, 1e4])
     def test_rotated_squeezed_pure_noise_leaves_noise(self, rng, a):
         # one-mode pure noise R diag(a, 1/(4a)) R^T; at theta = 0.7 and
-        # a = 1e3 a fixed clip of 1e-10 on 1 - 1/(4 nu^2) raised
+        # a = 1e3 the roundoff in 1 - 1/(4 nu^2) reaches -1.3e-10, below the
+        # clip's 1e-10 floor
         for theta in (0.7, *rng.uniform(0.0, math.pi, 5)):
             rot = np.array([[math.cos(theta), -math.sin(theta)],
                             [math.sin(theta), math.cos(theta)]])
