@@ -9,10 +9,19 @@ the posterior attached to outcome ``z`` is the displaced state
 
 Degenerate noise is supported throughout: every formula is computed via
 spectral functions of ``N`` that remain finite at ``N = 0``.
+
+Every matrix may carry leading batch axes, shape ``(..., s, s)``: a stack
+of states or measurements is evaluated in one call, bit for bit as one
+call per matrix, and the leading axes of a state and a measurement
+broadcast against each other.  A 2-D input gives floats and
+``(bool, float)`` results, a stack gives arrays over its leading axes, and
+one invalid member makes the whole call raise the error that member raises
+alone.  An empty stack ``(0, s, s)`` is valid and gives empty results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DivisionDegenerate,
+    InvalidRange,
     NegativeEigenvalue,
     NoModes,
     NotHermitian,
@@ -27,6 +37,10 @@ from .errors import (
 from .matfun import (
     EIG_CLIP,
     LogBase,
+    _any,
+    _as_float,
+    _entry,
+    _first,
     as_hermitian,
     g_scalar,
     g_trace,
@@ -39,16 +53,25 @@ POSTERIOR_HERM_TOL = 1e-9
 
 CP_MARGIN_TOL = 1e-9
 
+# B - _SIGNS * half holds B - half and B + half, the CP condition's two
+# sign choices, on an axis of their own.
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+# Above this occupation (about 1.34e154) N(N+I), and with it
+# sqrt(N(N+I)), overflows.
+OCCUPATION_LIMIT = math.sqrt(float(np.finfo(float).max))
+
 
 def _check_psd(a: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
-    """Reject ``a`` (with spectrum ``w``) if it has no modes or an eigenvalue
-    is clearly negative; returns ``w`` clipped at 0."""
-    if w.size == 0:
+    """Reject ``a`` (with ascending spectra ``w``) if it has no modes or an
+    eigenvalue is clearly negative; returns ``w`` clipped at 0."""
+    if w.shape[-1] == 0:
         raise NoModes(f"{what} is 0 x 0; at least one mode is needed")
-    w_min = w.min(initial=0.0)
-    if w_min < -EIG_CLIP * (1.0 + np.abs(a).max(initial=0.0)):
-        raise NegativeEigenvalue(f"{what} has eigenvalue {w_min:.3e} < 0")
-    return np.clip(w, 0.0, None)
+    low = _entry(w, 0)
+    bad = low < -EIG_CLIP * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
+    if _any(bad):
+        raise NegativeEigenvalue(f"{what} has eigenvalue {_first(low, bad):.3e} < 0")
+    return np.maximum(w, 0.0)
 
 
 @dataclass(frozen=True)
@@ -64,7 +87,7 @@ class GaugeState:
 
     @property
     def s(self) -> int:
-        return self.correlation.shape[0]
+        return self.correlation.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -75,31 +98,44 @@ class GaugeMeasurement:
     eigenvalues, clipped at 0) and modes; :meth:`spectral` builds functions
     of ``N`` from them, ``grow = sqrt(N(N+I))`` and ``shrink = sqrt(N/(N+I))``
     among them.
+
+    Raises:
+        InvalidRange: if an occupation exceeds ``OCCUPATION_LIMIT``, the
+            square root of the largest float, where ``grow`` overflows.
     """
 
     noise: np.ndarray
     occupations: np.ndarray = field(init=False, repr=False, compare=False)
     _modes: np.ndarray = field(init=False, repr=False, compare=False)
+    _modes_adj: np.ndarray = field(init=False, repr=False, compare=False)
     grow: np.ndarray = field(init=False, repr=False, compare=False)
     shrink: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_hermitian(self.noise)
         w, u = np.linalg.eigh(a)
+        occupations = _check_psd(a, w, "measurement noise")
+        high = _entry(occupations, -1)
+        big = high > OCCUPATION_LIMIT
+        if _any(big):
+            raise InvalidRange(
+                f"measurement noise has occupation {_first(high, big):.3e} above "
+                f"sqrt(max float) = {OCCUPATION_LIMIT:.3e}, where sqrt(N(N+I)) overflows")
         object.__setattr__(self, "noise", a)
-        object.__setattr__(self, "occupations", _check_psd(a, w, "measurement noise"))
+        object.__setattr__(self, "occupations", occupations)
         object.__setattr__(self, "_modes", u)
+        object.__setattr__(self, "_modes_adj", u.swapaxes(-1, -2).conj())
         for name, fn in (("grow", lambda x: np.sqrt(x * (x + 1.0))),
                          ("shrink", lambda x: np.sqrt(x / (x + 1.0)))):
             object.__setattr__(self, name, self.spectral(fn))
 
     @property
     def s(self) -> int:
-        return self.noise.shape[0]
+        return self.noise.shape[-1]
 
     def spectral(self, fn) -> np.ndarray:
         """The matrix function ``fn(N)`` of a vectorized scalar ``fn``."""
-        return (self._modes * fn(self.occupations)) @ self._modes.conj().T
+        return (self._modes * fn(self.occupations)[..., None, :]) @ self._modes_adj
 
 
 @dataclass(frozen=True)
@@ -150,10 +186,11 @@ def posterior_params(state: GaugeState, meas: GaugeMeasurement) -> GaugePosterio
     """
     m_inv = np.linalg.inv(output_density_params(state, meas))
     corr = meas.shrink @ state.correlation @ m_inv @ meas.grow
-    adj = corr.conj().T
-    defect = np.abs(corr - adj).max(initial=0.0)
-    if defect > POSTERIOR_HERM_TOL * (1.0 + np.abs(corr).max(initial=0.0)):
-        raise NotHermitian(f"posterior correlation defect {defect:.3e}")
+    adj = corr.swapaxes(-1, -2).conj()
+    defect = np.abs(corr - adj).max(axis=(-2, -1), initial=0.0)
+    bad = defect > POSTERIOR_HERM_TOL * (1.0 + np.abs(corr).max(axis=(-2, -1), initial=0.0))
+    if _any(bad):
+        raise NotHermitian(f"posterior correlation defect {_first(defect, bad):.3e}")
     return GaugePosterior(gain=meas.grow @ m_inv, correlation=(corr + adj) / 2.0)
 
 
@@ -190,7 +227,7 @@ def _entropy_reduction_gradient(
 
 def entropy_reduction_gauge(
     state: GaugeState, meas: GaugeMeasurement, base: LogBase = LogBase.BITS
-) -> float:
+) -> float | np.ndarray:
     """Entropy reduction of the measurement at this input state.
 
     Equals ``Sp g(Lambda) - Sp g(Ntilde)`` and coincides with the largest
@@ -200,14 +237,14 @@ def entropy_reduction_gauge(
     return g_trace(state.correlation, base) - g_trace(post.correlation, base)
 
 
-def sqrt_gaussian_params(meas: GaugeMeasurement) -> tuple[np.ndarray, float]:
+def sqrt_gaussian_params(meas: GaugeMeasurement) -> tuple[np.ndarray, float | np.ndarray]:
     """Parameters of the square root of the measurement's noise state.
 
     Returns ``(L, c^2)`` with ``sqrt(rho_N) = c rho_L``,
     ``L = N + sqrt(N(N+I))`` and ``c^2 = det(sqrt(N) + sqrt(N+I))^2``.
     """
     w = meas.occupations
-    c2 = float(np.prod((np.sqrt(w) + np.sqrt(w + 1.0)) ** 2))
+    c2 = _as_float(np.prod((np.sqrt(w) + np.sqrt(w + 1.0)) ** 2, axis=-1))
     return meas.noise + meas.grow, c2
 
 
@@ -227,17 +264,26 @@ def dual_channel_params(state: GaugeState, meas: GaugeMeasurement) -> DualChanne
     r = meas.spectral(lambda w: (np.sqrt(w) + np.sqrt(w + 1.0)) ** 2)
     r_inv = meas.spectral(lambda w: (np.sqrt(w) + np.sqrt(w + 1.0)) ** -2)
     plus, minus = eye + gain, eye - gain
-    form = (plus @ r_inv @ plus.conj().T + minus @ r @ minus.conj().T) / 4.0
-    form = (form + form.conj().T) / 2.0
-    return DualChannelParams(gain=gain.conj().T, noise_form=form)
+    form = (plus @ r_inv @ plus.swapaxes(-1, -2).conj()
+            + minus @ r @ minus.swapaxes(-1, -2).conj()) / 4.0
+    form = (form + form.swapaxes(-1, -2).conj()) / 2.0
+    return DualChannelParams(gain=gain.swapaxes(-1, -2).conj(), noise_form=form)
 
 
-def cp_certificate(params: DualChannelParams) -> tuple[bool, float]:
+def cp_certificate(
+    params: DualChannelParams,
+) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Check the complete-positivity condition of the dual channel.
 
     Verifies ``B -/+ (I - K K^dag)/2 >= 0`` for both signs and returns
     ``(ok, margin)`` where the margin is the smallest eigenvalue over both
-    sign choices; ``ok`` is true when the margin is above ``-1e-9``.
+    sign choices; ``ok`` is true when the margin is above ``-1e-9``.  For a
+    stack both are arrays over its leading axes.
+
+    Raises:
+        InvalidRange: if the gain has an entry that is not finite.
+        NotHermitian: if the noise form is not Hermitian or not finite.
+        DimensionMismatch: if the gain and form shapes differ.
     """
     k_dag = np.asarray(params.gain, dtype=complex)
     form = as_hermitian(params.noise_form)
@@ -245,8 +291,11 @@ def cp_certificate(params: DualChannelParams) -> tuple[bool, float]:
         raise DimensionMismatch(
             f"gain shape {k_dag.shape} does not match form shape {form.shape}"
         )
-    eye = np.eye(form.shape[0])
-    gram = k_dag.conj().T @ k_dag  # K K^dag
+    if not np.isfinite(k_dag).all():
+        raise InvalidRange("gain has non-finite entries")
+    eye = np.eye(form.shape[-1])
+    gram = k_dag.swapaxes(-1, -2).conj() @ k_dag  # K K^dag
     half = (eye - gram) / 2.0
-    margin = np.linalg.eigvalsh(np.stack((form - half, form + half))).min()
-    return bool(margin >= -CP_MARGIN_TOL), float(margin)
+    pair = form[..., None, :, :] - _SIGNS * half[..., None, :, :]
+    margin = _as_float(np.linalg.eigvalsh(pair).min(axis=(-2, -1)))
+    return margin >= -CP_MARGIN_TOL, margin

@@ -5,6 +5,13 @@ elementwise on scalars and arrays and summed over a Hermitian spectrum,
 principal square roots of positive semidefinite Hermitian matrices, and
 symplectic spectra of real covariance matrices.  All entropic outputs are
 reported in the base carried by a :class:`LogBase` value; the default is bits.
+
+The validators, :func:`g_trace` and the symplectic spectrum take matrices of
+shape ``(..., s, s)``: any leading axes index a stack, evaluated in one call
+with the same result, bit for bit, as one call per matrix.  A 2-D matrix
+gives a float, a stack an array over its leading axes, and one invalid
+member makes the whole call raise the error that member raises alone.  An
+empty stack ``(0, s, s)`` is valid and gives empty results.
 """
 
 from __future__ import annotations
@@ -71,49 +78,88 @@ class LogBase(enum.Enum):
             raise ValueError(f"unknown log base {name!r}; expected 'bits' or 'nats'")
 
 
+def _any(flags) -> bool:
+    """Whether a per-matrix test holds for any member of a stack.
+
+    The test of one 2-D matrix is a numpy scalar, read as it is: reducing
+    it would cost more than the test.
+    """
+    return flags.any() if flags.ndim else flags
+
+
+def _first(values, flags):
+    """The value of the first member that ``flags`` marks, for a message."""
+    return values[flags].flat[0] if flags.ndim else values
+
+
+def _entry(w: np.ndarray, i: int):
+    """``w[..., i]``, one entry per member; a numpy scalar rather than a 0-d
+    array for a 1-D ``w``, so that tests on it cost no ufunc call."""
+    return w[..., i][()]
+
+
+def _all_finite(x) -> bool:
+    """Whether every entry of a per-matrix figure is finite (one matrix's
+    figure is a numpy scalar, which ``math.isfinite`` reads directly)."""
+    return bool(np.isfinite(x).all()) if x.ndim else math.isfinite(x)
+
+
+def _as_float(x):
+    """``x`` as a float when it is one number (the result for one matrix)."""
+    return float(x) if x.ndim == 0 else x
+
+
 def as_hermitian(matrix) -> np.ndarray:
-    """Validate and symmetrize a square matrix expected to be Hermitian.
+    """Validate and symmetrize square matrices expected to be Hermitian.
 
     Args:
-        matrix: square array-like with finite entries.
+        matrix: array-like of shape ``(..., s, s)`` with finite entries.
 
     Returns:
-        The symmetrized copy ``(A + A^dag)/2`` as a complex array.
+        The symmetrized copy ``(A + A^dag)/2`` of each matrix, as a complex
+        array of the input's shape.
 
     Raises:
-        NotHermitian: if ``max|A - A^dag| > HERMITICITY_RTOL (1 + max|A|)``,
-            an entry is not finite, or the shape is not square.
+        NotHermitian: if a matrix has
+            ``max|A - A^dag| > HERMITICITY_RTOL (1 + max|A|)`` or an entry
+            that is not finite, or the last two axes are not square.
     """
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     # max|a| is NaN or inf exactly when an entry is, so one pass checks both
-    scale = 1.0 + np.abs(a).max(initial=0.0)
-    if not math.isfinite(scale):
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+    if not _all_finite(scale):
         raise NotHermitian("matrix has non-finite entries")
-    adj = a.conj().T
-    asym = np.abs(a - adj).max(initial=0.0)
-    if asym > HERMITICITY_RTOL * scale:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {HERMITICITY_RTOL:.1e} * scale")
+    adj = a.swapaxes(-1, -2).conj()
+    asym = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
+    bad = asym > HERMITICITY_RTOL * scale
+    if _any(bad):
+        raise NotHermitian(
+            f"asymmetry {_first(asym, bad):.3e} exceeds {HERMITICITY_RTOL:.1e} * scale")
     return (a + adj) / 2.0
 
 
 def as_symmetric(matrix) -> np.ndarray:
-    """Validate and symmetrize a real square matrix (complex only if real-valued)."""
+    """Validate and symmetrize real square matrices, shape ``(..., s, s)``
+    (complex only if real-valued)."""
     a = np.asarray(matrix)
     if np.iscomplexobj(a) and np.any(a.imag != 0.0):
         raise NotSymmetric("matrix has a nonzero imaginary part")
     a = np.asarray(a.real, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     # max|a| is NaN or inf exactly when an entry is, so one pass checks both
-    scale = 1.0 + np.abs(a).max(initial=0.0)
-    if not math.isfinite(scale):
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+    if not _all_finite(scale):
         raise NotSymmetric("matrix has non-finite entries")
-    asym = np.abs(a - a.T).max(initial=0.0)
-    if asym > HERMITICITY_RTOL * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {HERMITICITY_RTOL:.1e} * scale")
-    return (a + a.T) / 2.0
+    at = a.swapaxes(-1, -2)
+    asym = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
+    bad = asym > HERMITICITY_RTOL * scale
+    if _any(bad):
+        raise NotSymmetric(
+            f"asymmetry {_first(asym, bad):.3e} exceeds {HERMITICITY_RTOL:.1e} * scale")
+    return (a + at) / 2.0
 
 
 def g_scalar(x: float | np.ndarray, base: LogBase = LogBase.BITS) -> float | np.ndarray:
@@ -166,21 +212,26 @@ def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.nda
     return (u * fn(_clipped_spectrum(w, EIG_CLIP))) @ u.conj().T
 
 
-def _clipped_spectrum(w: np.ndarray, clip: float) -> np.ndarray:
-    """The spectrum ``w`` with entries in ``[-clip (1 + max|w|), 0]`` set to 0.
+def _clipped_spectrum(w: np.ndarray, clip) -> np.ndarray:
+    """The spectra ``w`` (along the last axis) with entries in
+    ``[-clip (1 + max|w|), 0]`` set to 0; ``clip`` is a float or one value
+    per spectrum.
 
     Raises:
         NegativeEigenvalue: if an entry lies below that range.
     """
-    if w.min(initial=0.0) < -clip * (1.0 + abs(w).max(initial=0.0)):
-        raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below clip tolerance")
+    low = w.min(axis=-1, initial=0.0)
+    bad = low < -clip * (1.0 + abs(w).max(axis=-1, initial=0.0))
+    if _any(bad):
+        raise NegativeEigenvalue(f"eigenvalue {_first(low, bad):.3e} below clip tolerance")
     return np.maximum(w, 0.0)
 
 
-def g_trace(matrix, base: LogBase = LogBase.BITS) -> float:
-    """Trace of ``g`` applied to a Hermitian PSD matrix (sum over spectrum)."""
+def g_trace(matrix, base: LogBase = LogBase.BITS) -> float | np.ndarray:
+    """Trace of ``g`` applied to a Hermitian PSD matrix (sum over spectrum);
+    a float for one matrix, an array over the leading axes of a stack."""
     w = np.linalg.eigvalsh(as_hermitian(matrix))
-    return float(g_scalar(_clipped_spectrum(w, EIG_CLIP), base).sum())
+    return _as_float(g_scalar(_clipped_spectrum(w, EIG_CLIP), base).sum(axis=-1))
 
 
 def psd_sqrt(matrix) -> np.ndarray:
@@ -229,7 +280,7 @@ def symplectic_spectrum(alpha, form: SymplecticForm) -> np.ndarray:
     The eigenvalues of ``Delta^-1 alpha`` come in pairs ``+/- i nu_j``; the
     returned values are the positive roots of the spectrum of
     ``-(Delta^-1 alpha)^2``, each duplicate pair counted once, sorted in
-    decreasing order.
+    decreasing order along the last axis (``alpha`` may be a stack).
 
     Raises:
         NotSymmetric: if ``alpha`` is not symmetric.
@@ -244,20 +295,20 @@ def symplectic_spectrum(alpha, form: SymplecticForm) -> np.ndarray:
 def _as_covariance(alpha, form: SymplecticForm) -> np.ndarray:
     """``alpha`` checked symmetric and ``2s x 2s`` for the form, symmetrized."""
     a = as_symmetric(alpha)
-    if a.shape[0] != 2 * form.s:
+    if a.shape[-1] != 2 * form.s:
         raise DimensionMismatch(
-            f"covariance is {a.shape[0]}x{a.shape[0]}, form expects {2 * form.s}"
+            f"covariance is {a.shape[-1]}x{a.shape[-1]}, form expects {2 * form.s}"
         )
     return a
 
 
 def _williamson_core(
     a: np.ndarray, form: SymplecticForm
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(sqrt(a), C, max w)`` of a validated symmetric ``2s x 2s`` matrix
-    with eigenvalues ``w``, where ``C = sqrt(a) Delta^T a Delta sqrt(a)`` is
-    PSD and similar to ``-(Delta^-1 a)^2``, so its eigenvalues are the
-    ``nu_j^2``, each twice.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sqrt(a), C, max w)`` of validated symmetric ``2s x 2s`` matrices
+    (shape ``(..., 2s, 2s)``) with eigenvalues ``w``, where
+    ``C = sqrt(a) Delta^T a Delta sqrt(a)`` is PSD and similar to
+    ``-(Delta^-1 a)^2``, so its eigenvalues are the ``nu_j^2``, each twice.
 
     Raises:
         NotPositiveDefinite: unless ``min w > EIGH_RTOL * 2s * max w``, the
@@ -266,20 +317,23 @@ def _williamson_core(
             as ``diag(6e5, 1/2.4e6)`` is.
     """
     w, u = np.linalg.eigh(a)
-    if w[0] <= EIGH_RTOL * a.shape[0] * w[-1]:
-        raise NotPositiveDefinite(f"minimum eigenvalue {w[0]:.3e}")
-    root = (u * np.sqrt(w)) @ u.T
+    low, high = _entry(w, 0), _entry(w, -1)
+    bad = low <= EIGH_RTOL * a.shape[-1] * high
+    if _any(bad):
+        raise NotPositiveDefinite(f"minimum eigenvalue {_first(low, bad):.3e}")
+    root = (u * np.sqrt(w)[..., None, :]) @ u.swapaxes(-1, -2)
     delta = form.matrix
-    return root, root @ (delta.T @ a @ delta) @ root, float(w[-1])
+    return root, root @ (delta.T @ a @ delta) @ root, high
 
 
 def _symplectic_spectrum(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
-    """:func:`symplectic_spectrum` of a validated symmetric ``2s x 2s`` matrix."""
+    """:func:`symplectic_spectrum` of validated symmetric ``2s x 2s`` matrices."""
     squared = np.linalg.eigvalsh(_williamson_core(a, form)[1])
-    nus = np.sqrt(np.clip(squared, 0.0, None))
+    nus = np.sqrt(np.maximum(squared, 0.0))
     nus.sort()
-    lo, hi = nus[0::2], nus[1::2]
-    mism = np.abs(hi - lo) / (1.0 + hi)
-    if mism.max(initial=0.0) > PAIRING_RTOL:
-        raise PairingFailure(f"duplicate pairs differ by up to {mism.max():.3e}")
-    return ((lo + hi) / 2.0)[::-1].copy()
+    lo, hi = nus[..., 0::2], nus[..., 1::2]
+    mism = (np.abs(hi - lo) / (1.0 + hi)).max(axis=-1, initial=0.0)
+    bad = mism > PAIRING_RTOL
+    if _any(bad):
+        raise PairingFailure(f"duplicate pairs differ by up to {_first(mism, bad):.3e}")
+    return ((lo + hi) / 2.0)[..., ::-1].copy()

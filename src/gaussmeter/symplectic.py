@@ -6,6 +6,13 @@ the vacuum normalized to ``I/2``.  Provides admissibility checks, Gaussian
 state entropy, the posterior covariance of a Gaussian measurement (one real
 path for every noise, through the noise's Williamson core), the resulting
 entropy reduction, and the embedding of phase-insensitive parameters.
+
+Covariances may carry leading batch axes, shape ``(..., 2s, 2s)``, and are
+then evaluated as a stack in one call, bit for bit as one call per matrix;
+a 2-D input gives floats and ``(bool, float)`` results, a stack arrays over
+its leading axes, and one invalid member makes the whole call raise the
+error that member raises alone.  An empty stack is valid and gives empty
+results.
 """
 
 from __future__ import annotations
@@ -20,8 +27,11 @@ from .gauge import GaugeMeasurement, GaugeState
 from .matfun import (
     LogBase,
     SymplecticForm,
+    _any,
     _as_covariance,
+    _as_float,
     _clipped_spectrum,
+    _first,
     _symplectic_spectrum,
     _williamson_core,
     as_symmetric,
@@ -45,21 +55,24 @@ GROW_CLIP_RTOL = 16.0 * float(np.finfo(float).eps)
 GROW_CLIP_MIN = 1e-10
 
 
-def validate_covariance(alpha, form: SymplecticForm) -> tuple[bool, float]:
+def validate_covariance(
+    alpha, form: SymplecticForm
+) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Admissibility of a symmetric matrix as a quantum covariance matrix.
 
     Returns ``(ok, margin)`` where the margin is the smallest eigenvalue of
     the Hermitian matrix ``alpha + (i/2) Delta``; admissible covariances
     satisfy ``margin >= -1e-9`` (equivalently all symplectic eigenvalues
-    are at least 1/2).
+    are at least 1/2).  For a stack both are arrays over its leading axes.
     """
-    return _admissibility(_as_covariance(alpha, form), form)
-
-
-def _admissibility(a: np.ndarray, form: SymplecticForm) -> tuple[bool, float]:
-    """:func:`validate_covariance` of a validated symmetric ``2s x 2s`` matrix."""
-    margin = float(np.linalg.eigvalsh(a + 0.5j * form.matrix).min())
+    margin = _as_float(_admissibility_margin(_as_covariance(alpha, form), form))
     return margin >= -ADMISSIBILITY_TOL, margin
+
+
+def _admissibility_margin(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
+    """The margin of :func:`validate_covariance` for validated symmetric
+    ``2s x 2s`` matrices, one per member of a stack."""
+    return np.linalg.eigvalsh(a + 0.5j * form.matrix).min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -73,11 +86,13 @@ class RealCovariance:
 
     def __post_init__(self):
         a = as_symmetric(self.cov)
-        if a.shape[0] % 2 != 0:
+        if a.shape[-1] % 2 != 0:
             raise InvalidCovariance(f"covariance must be 2s x 2s, got {a.shape}")
-        ok, margin = _admissibility(a, symplectic_form(a.shape[0] // 2))
-        if not ok:
-            raise InvalidCovariance(f"admissibility margin {margin:.3e} < -1e-9")
+        margin = _admissibility_margin(a, symplectic_form(a.shape[-1] // 2))
+        bad = margin < -ADMISSIBILITY_TOL
+        if _any(bad):
+            raise InvalidCovariance(
+                f"admissibility margin {_first(margin, bad):.3e} < -1e-9")
         object.__setattr__(self, "cov", a)
 
     @cached_property
@@ -89,7 +104,7 @@ class RealCovariance:
 
     @property
     def s(self) -> int:
-        return self.cov.shape[0] // 2
+        return self.cov.shape[-1] // 2
 
     @property
     def form(self) -> SymplecticForm:
@@ -107,12 +122,14 @@ class GeneralMeasurement:
         return self.beta.s
 
 
-def gaussian_entropy(alpha: RealCovariance, base: LogBase = LogBase.BITS) -> float:
+def gaussian_entropy(
+    alpha: RealCovariance, base: LogBase = LogBase.BITS
+) -> float | np.ndarray:
     """Entropy of the centered Gaussian state with covariance ``alpha``.
 
     Equals the sum of ``g(nu_j - 1/2)`` over the symplectic eigenvalues.
     """
-    return float(g_scalar(np.maximum(alpha.spectrum - 0.5, 0.0), base).sum())
+    return _as_float(g_scalar(np.maximum(alpha.spectrum - 0.5, 0.0), base).sum(axis=-1))
 
 
 def _grow_factor(beta: RealCovariance) -> np.ndarray:
@@ -132,8 +149,9 @@ def _grow_factor(beta: RealCovariance) -> np.ndarray:
     root, core, w_max = _williamson_core(beta.cov, beta.form)
     squared, q = np.linalg.eigh(core)
     half = root @ q
-    clip = max(GROW_CLIP_MIN, GROW_CLIP_RTOL * core.shape[0] * 4.0 * w_max ** 2)
-    return (half * np.sqrt(_clipped_spectrum(1.0 - 0.25 / squared, clip))) @ half.T
+    clip = np.maximum(GROW_CLIP_MIN, GROW_CLIP_RTOL * core.shape[-1] * 4.0 * w_max ** 2)
+    factor = np.sqrt(_clipped_spectrum(1.0 - 0.25 / squared, clip))
+    return (half * factor[..., None, :]) @ half.swapaxes(-1, -2)
 
 
 def posterior_covariance(alpha: RealCovariance, beta: RealCovariance) -> RealCovariance:
@@ -159,19 +177,22 @@ def posterior_covariance(alpha: RealCovariance, beta: RealCovariance) -> RealCov
         raise DimensionMismatch(f"alpha has {alpha.s} modes, beta has {beta.s}")
     w, u = np.linalg.eigh(alpha.cov + beta.cov)
     magnitudes = np.abs(w)
-    if magnitudes.max() > CONDITION_LIMIT * magnitudes.min():
+    if _any(magnitudes.max(axis=-1) > CONDITION_LIMIT * magnitudes.min(axis=-1)):
         raise SingularSum(f"alpha + beta condition number exceeds {CONDITION_LIMIT:.0e}")
     tu = _grow_factor(beta) @ u
-    out = beta.cov - (tu / w) @ tu.T
-    asym = np.abs(out - out.T).max(initial=0.0)
-    if asym > SYMMETRY_PRECHECK_TOL * (1.0 + np.abs(out).max(initial=0.0)):
-        raise InvalidCovariance(f"posterior covariance asymmetry {asym:.3e}")
-    return RealCovariance(cov=(out + out.T) / 2.0)
+    tu_t = tu.swapaxes(-1, -2)
+    out = beta.cov - (tu / w[..., None, :]) @ tu_t
+    out_t = out.swapaxes(-1, -2)
+    asym = np.abs(out - out_t).max(axis=(-2, -1), initial=0.0)
+    bad = asym > SYMMETRY_PRECHECK_TOL * (1.0 + np.abs(out).max(axis=(-2, -1), initial=0.0))
+    if _any(bad):
+        raise InvalidCovariance(f"posterior covariance asymmetry {_first(asym, bad):.3e}")
+    return RealCovariance(cov=(out + out_t) / 2.0)
 
 
 def entropy_reduction_general(
     alpha: RealCovariance, meas: GeneralMeasurement, base: LogBase = LogBase.BITS
-) -> float:
+) -> float | np.ndarray:
     """Entropy reduction of a general Gaussian measurement at a Gaussian input.
 
     Equals the input entropy minus the (outcome-independent) posterior
@@ -190,15 +211,16 @@ def embed_complex_correlation(matrix) -> np.ndarray:
     equals the spectrum of ``C``.
 
     Raises:
-        DimensionMismatch: if ``C`` is not a square matrix.
+        DimensionMismatch: if the last two axes of ``C`` are not square.
     """
     c = np.asarray(matrix, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {c.shape}")
-    out = np.empty((2 * c.shape[0], 2 * c.shape[0]))
-    out[0::2, 0::2] = out[1::2, 1::2] = c.real
-    out[1::2, 0::2] = c.imag
-    out[0::2, 1::2] = -c.imag
+    n = 2 * c.shape[-1]
+    out = np.empty(c.shape[:-2] + (n, n))
+    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = c.real
+    out[..., 1::2, 0::2] = c.imag
+    out[..., 0::2, 1::2] = -c.imag
     return out
 
 

@@ -42,3 +42,21 @@ def random_admissible_cov(rng, s, scale=0.4):
     sympl = random_symplectic(rng, s, scale)
     extra = rng.normal(size=(2 * s, 2 * s)) * scale
     return 0.5 * sympl @ sympl.T + extra @ extra.T
+
+
+def stack_pairs(rng, s, extra=4):
+    """Stacked ``(Lambda, N)`` draws on ``s`` modes for the stacked-path
+    tests: a singular Lambda, N = 0, a singular N (s > 1) and ``extra``
+    random non-commuting pairs."""
+    u = random_unitary(rng, s)
+    singular_lam = (u * np.r_[0.0, rng.uniform(0.2, 1.0, s - 1)]) @ u.conj().T
+    lams = [singular_lam, random_psd(rng, s)]
+    noises = [random_psd(rng, s), np.zeros((s, s), dtype=complex)]
+    if s > 1:
+        v = random_unitary(rng, s)
+        lams.append(random_psd(rng, s))
+        noises.append((v * np.r_[rng.uniform(0.2, 1.0, s - 1), 0.0]) @ v.conj().T)
+    for _ in range(extra):
+        lams.append(random_psd(rng, s))
+        noises.append(random_psd(rng, s))
+    return np.stack(lams), np.stack(noises)

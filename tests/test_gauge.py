@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_psd, random_unitary
+from conftest import random_psd, random_unitary, stack_pairs
 from gaussmeter.errors import (
     DimensionMismatch,
     DivisionDegenerate,
+    InvalidRange,
     NegativeEigenvalue,
     NoModes,
+    NotHermitian,
+    ValidationError,
 )
 from gaussmeter.gauge import (
+    OCCUPATION_LIMIT,
+    DualChannelParams,
     GaugeMeasurement,
     GaugeState,
     _entropy_reduction_gradient,
@@ -318,3 +323,120 @@ def test_state_rejects_indefinite_correlation():
 def test_rejects_zero_modes(cls):
     with pytest.raises(NoModes):
         cls(np.zeros((0, 0), dtype=complex))
+
+
+def _stacked(values):
+    return np.stack([np.asarray(v) for v in values])
+
+
+class TestStacks:
+    """Every closed form takes ``(k, s, s)`` stacks and gives the per-matrix
+    results bit for bit; one bad member makes the call raise its error."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_stack_matches_per_matrix(self, rng, s):
+        lams, noises = stack_pairs(rng, s)
+        state, meas = GaugeState(lams), GaugeMeasurement(noises)
+        singles = [(GaugeState(lam), GaugeMeasurement(noise))
+                   for lam, noise in zip(lams, noises)]
+
+        def each(fn):
+            return [fn(st, me) for st, me in singles]
+
+        assert np.array_equal(state.correlation, _stacked(st.correlation for st, _ in singles))
+        for name in ("noise", "occupations", "grow", "shrink"):
+            assert np.array_equal(getattr(meas, name),
+                                  _stacked(getattr(me, name) for _, me in singles))
+        root = meas.spectral(np.sqrt)
+        assert np.array_equal(root, _stacked(me.spectral(np.sqrt) for _, me in singles))
+        assert np.array_equal(output_density_params(state, meas),
+                              _stacked(each(output_density_params)))
+        post, posts = posterior_params(state, meas), each(posterior_params)
+        assert np.array_equal(post.gain, _stacked(p.gain for p in posts))
+        assert np.array_equal(post.correlation, _stacked(p.correlation for p in posts))
+        assert np.array_equal(entropy_reduction_gauge(state, meas),
+                              _stacked(each(entropy_reduction_gauge)))
+        dual, duals = dual_channel_params(state, meas), each(dual_channel_params)
+        assert np.array_equal(dual.gain, _stacked(d.gain for d in duals))
+        assert np.array_equal(dual.noise_form, _stacked(d.noise_form for d in duals))
+        ok, margin = cp_certificate(dual)
+        certs = [cp_certificate(d) for d in duals]
+        assert np.array_equal(ok, _stacked(c[0] for c in certs))
+        assert np.array_equal(margin, _stacked(c[1] for c in certs))
+        big_l, c2 = sqrt_gaussian_params(meas)
+        roots = [sqrt_gaussian_params(me) for _, me in singles]
+        assert np.array_equal(big_l, _stacked(r[0] for r in roots))
+        assert np.array_equal(c2, _stacked(r[1] for r in roots))
+
+    def test_two_d_results_keep_their_types(self, rng):
+        state, meas = GaugeState(random_psd(rng, 2)), GaugeMeasurement(random_psd(rng, 2))
+        assert type(entropy_reduction_gauge(state, meas)) is float
+        ok, margin = cp_certificate(dual_channel_params(state, meas))
+        assert type(ok) is bool and type(margin) is float
+        assert type(sqrt_gaussian_params(meas)[1]) is float
+        lams, noises = stack_pairs(rng, 2)
+        er = entropy_reduction_gauge(GaugeState(lams), GaugeMeasurement(noises))
+        assert isinstance(er, np.ndarray) and er.shape == (len(lams),)
+
+    def test_leading_axes_broadcast(self, rng):
+        lam = random_psd(rng, 2)
+        _, noises = stack_pairs(rng, 2)
+        post = posterior_params(GaugeState(lam), GaugeMeasurement(noises))
+        for noise, gain in zip(noises, post.gain):
+            single = posterior_params(GaugeState(lam), GaugeMeasurement(noise))
+            assert np.array_equal(gain, single.gain)
+
+    @pytest.mark.parametrize("cls, bad, error", [
+        (GaugeState, np.diag([1.0, -0.2]), NegativeEigenvalue),
+        (GaugeMeasurement, np.diag([1.0, -0.2]), NegativeEigenvalue),
+        (GaugeState, np.array([[1.0, 0.5], [0.0, 1.0]]), NotHermitian),
+        (GaugeMeasurement, np.array([[1.0, np.nan], [np.nan, 1.0]]), NotHermitian),
+        (GaugeMeasurement, 1e155 * np.eye(2), InvalidRange),
+    ], ids=["state-negative", "noise-negative", "asymmetric", "non-finite", "huge-noise"])
+    def test_one_bad_member_raises_its_error(self, rng, cls, bad, error):
+        with pytest.raises(error) as alone:
+            cls(bad.astype(complex))
+        members = [random_psd(rng, 2), random_psd(rng, 2), bad, random_psd(rng, 2)]
+        with pytest.raises(error) as stacked:
+            cls(np.stack(members).astype(complex))
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("cls", [GaugeState, GaugeMeasurement])
+    def test_zero_mode_stack_raises(self, cls):
+        with pytest.raises(NoModes):
+            cls(np.zeros((3, 0, 0), dtype=complex))
+
+    def test_empty_stack_gives_empty_results(self):
+        state = GaugeState(np.zeros((0, 2, 2), dtype=complex))
+        meas = GaugeMeasurement(np.zeros((0, 2, 2), dtype=complex))
+        assert entropy_reduction_gauge(state, meas).shape == (0,)
+        assert posterior_params(state, meas).gain.shape == (0, 2, 2)
+        ok, margin = cp_certificate(dual_channel_params(state, meas))
+        assert ok.shape == margin.shape == (0,)
+
+
+class TestNonFiniteAndHugeInputs:
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)],
+                             ids=["nan", "inf", "-inf", "imag-inf"])
+    def test_cp_certificate_rejects_non_finite_gain(self, entry):
+        with pytest.raises(InvalidRange, match="^gain has non-finite entries$"):
+            cp_certificate(DualChannelParams(gain=np.array([[entry]]), noise_form=np.eye(1)))
+        gain = np.zeros((3, 2, 2), dtype=complex)
+        gain[1, 0, 1] = entry
+        with pytest.raises(ValidationError):
+            cp_certificate(DualChannelParams(gain=gain, noise_form=np.stack([np.eye(2)] * 3)))
+
+    def test_huge_occupation_raises_at_construction(self):
+        with pytest.raises(InvalidRange, match=r"occupation 1\.000e\+155 above "
+                                               r"sqrt\(max float\) = 1\.341e\+154"):
+            GaugeMeasurement(1e155 * np.eye(2, dtype=complex))
+        assert OCCUPATION_LIMIT == math.sqrt(np.finfo(float).max)
+
+    def test_occupation_1e150_still_works(self):
+        state = GaugeState(np.eye(2, dtype=complex))
+        meas = GaugeMeasurement(1e150 * np.eye(2, dtype=complex))
+        post = posterior_params(state, meas)
+        assert np.isfinite(post.gain).all() and np.isfinite(post.correlation).all()
+        assert math.isfinite(entropy_reduction_gauge(state, meas))
+        ok, margin = cp_certificate(dual_channel_params(state, meas))
+        assert ok and math.isfinite(margin)

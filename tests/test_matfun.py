@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_psd, random_symplectic, random_unitary
+from conftest import random_admissible_cov, random_psd, random_symplectic, random_unitary
 from gaussmeter.errors import (
     DimensionMismatch,
     InvalidRange,
@@ -18,7 +18,11 @@ from gaussmeter.errors import (
 from gaussmeter.matfun import (
     LogBase,
     SymplecticForm,
+    _clipped_spectrum,
+    _symplectic_spectrum,
+    _williamson_core,
     as_hermitian,
+    as_symmetric,
     g_scalar,
     g_trace,
     psd_sqrt,
@@ -235,3 +239,62 @@ def test_as_hermitian_rejects_non_finite(entry):
     a[0, 1] = entry
     with pytest.raises(NotHermitian, match="^matrix has non-finite entries$"):
         as_hermitian(a)
+
+
+class TestStacks:
+    """The validators, g_trace and the symplectic spectrum take ``(k, s, s)``
+    stacks and give the per-matrix results bit for bit."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_stack_matches_per_matrix(self, rng, s):
+        lams = np.stack([random_psd(rng, s) for _ in range(5)]
+                        + [np.zeros((s, s), dtype=complex)])
+        assert np.array_equal(as_hermitian(lams), np.stack([as_hermitian(m) for m in lams]))
+        assert np.array_equal(g_trace(lams), [g_trace(m) for m in lams])
+        assert np.array_equal(g_trace(lams, LogBase.NATS),
+                              [g_trace(m, LogBase.NATS) for m in lams])
+        real = lams.real
+        assert np.array_equal(as_symmetric(real), np.stack([as_symmetric(m) for m in real]))
+
+        spectra = np.stack([np.linalg.eigvalsh(m) for m in lams]) - 1e-14
+        clips = np.linspace(1e-12, 1e-10, len(spectra))
+        assert np.array_equal(_clipped_spectrum(spectra, clips),
+                              np.stack([_clipped_spectrum(w, c) for w, c in zip(spectra, clips)]))
+
+        form = symplectic_form(s)
+        covs = np.stack([random_admissible_cov(rng, s) for _ in range(5)]
+                        + [0.5 * np.eye(2 * s)])
+        assert np.array_equal(symplectic_spectrum(covs, form),
+                              np.stack([symplectic_spectrum(c, form) for c in covs]))
+        assert np.array_equal(_symplectic_spectrum(covs, form),
+                              np.stack([_symplectic_spectrum(c, form) for c in covs]))
+        cores = _williamson_core(covs, form)
+        for part, stacked in enumerate(cores):
+            assert np.array_equal(stacked,
+                                  np.stack([_williamson_core(c, form)[part] for c in covs]))
+
+    def test_two_d_g_trace_is_a_float(self, rng):
+        assert type(g_trace(random_psd(rng, 3))) is float
+
+    @pytest.mark.parametrize("fn, bad, error", [
+        (as_hermitian, np.array([[1.0, 0.5], [0.0, 1.0]]), NotHermitian),
+        (as_hermitian, np.array([[1.0, np.inf], [np.inf, 1.0]]), NotHermitian),
+        (as_symmetric, np.array([[1.0, 0.5], [0.0, 1.0]]), NotSymmetric),
+        (as_symmetric, np.array([[1.0, np.nan], [np.nan, 1.0]]), NotSymmetric),
+        (g_trace, np.diag([1.0, -0.5]), NegativeEigenvalue),
+        (lambda m: symplectic_spectrum(m, symplectic_form(1)), np.diag([1.0, -1.0]),
+         NotPositiveDefinite),
+    ], ids=["asymmetric", "non-finite", "real-asymmetric", "real-non-finite",
+            "negative", "indefinite"])
+    def test_one_bad_member_raises_its_error(self, fn, bad, error):
+        with pytest.raises(error) as alone:
+            fn(bad)
+        good = np.diag([1.0, 2.0])
+        with pytest.raises(error) as stacked:
+            fn(np.stack([good, bad, good]))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_empty_stack_gives_empty_results(self):
+        assert g_trace(np.zeros((0, 2, 2))).shape == (0,)
+        assert as_hermitian(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert symplectic_spectrum(np.zeros((0, 4, 4)), symplectic_form(2)).shape == (0, 2)

@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, sqrtm
 
-from conftest import random_admissible_cov, random_psd, random_symplectic, random_unitary
+from conftest import (
+    random_admissible_cov,
+    random_psd,
+    random_symplectic,
+    random_unitary,
+    stack_pairs,
+)
 from gaussmeter import matfun, symplectic
-from gaussmeter.errors import DimensionMismatch, InvalidCovariance, NoModes, NotSymmetric
+from gaussmeter.errors import (
+    DimensionMismatch,
+    InvalidCovariance,
+    NoModes,
+    NotSymmetric,
+    SingularSum,
+)
 from gaussmeter.gauge import (
     GaugeMeasurement,
     GaugeState,
@@ -375,3 +387,81 @@ class TestValidatedOnce:
         assert alpha.spectrum.tolist() == expected.tolist()
         with pytest.raises(ValueError):
             alpha.spectrum[0] = 1.0
+
+
+class TestStacks:
+    """Real-covariance closed forms take ``(k, 2s, 2s)`` stacks and give the
+    per-matrix results bit for bit."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_gauge_embedding_stack_matches_per_matrix(self, rng, s):
+        lams, noises = stack_pairs(rng, s)
+        assert np.array_equal(embed_complex_correlation(lams),
+                              np.stack([embed_complex_correlation(m) for m in lams]))
+        state, meas = GaugeState(lams), GaugeMeasurement(noises)
+        alpha, general = embed_gauge_invariant(state, meas)
+        singles = [embed_gauge_invariant(GaugeState(lam), GaugeMeasurement(noise))
+                   for lam, noise in zip(lams, noises)]
+        assert np.array_equal(alpha.cov, np.stack([a.cov for a, _ in singles]))
+        assert np.array_equal(general.beta.cov, np.stack([g.beta.cov for _, g in singles]))
+        assert np.array_equal(entropy_reduction_general(alpha, general),
+                              [entropy_reduction_general(a, g) for a, g in singles])
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_general_stack_matches_per_matrix(self, rng, s):
+        form = symplectic_form(s)
+        alphas = np.stack([random_admissible_cov(rng, s) for _ in range(5)])
+        betas = np.stack([random_admissible_cov(rng, s) for _ in range(4)]
+                         + [0.5 * np.eye(2 * s)])
+        ok, margin = validate_covariance(alphas, form)
+        each = [validate_covariance(a, form) for a in alphas]
+        assert np.array_equal(ok, [e[0] for e in each])
+        assert np.array_equal(margin, [e[1] for e in each])
+        alpha, beta = RealCovariance(alphas), RealCovariance(betas)
+        assert np.array_equal(alpha.spectrum, np.stack([RealCovariance(a).spectrum for a in alphas]))
+        assert np.array_equal(gaussian_entropy(alpha),
+                              [gaussian_entropy(RealCovariance(a)) for a in alphas])
+        assert np.array_equal(symplectic._grow_factor(beta),
+                              np.stack([symplectic._grow_factor(RealCovariance(b)) for b in betas]))
+        tilde = posterior_covariance(alpha, beta)
+        assert np.array_equal(tilde.cov, np.stack([
+            posterior_covariance(RealCovariance(a), RealCovariance(b)).cov
+            for a, b in zip(alphas, betas)]))
+        assert np.array_equal(
+            entropy_reduction_general(alpha, GeneralMeasurement(beta)),
+            [entropy_reduction_general(RealCovariance(a), GeneralMeasurement(RealCovariance(b)))
+             for a, b in zip(alphas, betas)])
+
+    def test_two_d_results_keep_their_types(self, rng):
+        alpha = RealCovariance(random_admissible_cov(rng, 2))
+        ok, margin = validate_covariance(alpha.cov, alpha.form)
+        assert type(ok) is bool and type(margin) is float
+        assert type(gaussian_entropy(alpha)) is float
+        general = GeneralMeasurement(RealCovariance(random_admissible_cov(rng, 2)))
+        assert type(entropy_reduction_general(alpha, general)) is float
+
+    def test_inadmissible_member_raises_its_error(self, rng):
+        with pytest.raises(InvalidCovariance) as alone:
+            RealCovariance(0.25 * np.eye(2))
+        members = [random_admissible_cov(rng, 1), 0.25 * np.eye(2), np.eye(2)]
+        with pytest.raises(InvalidCovariance) as stacked:
+            RealCovariance(np.stack(members))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_singular_sum_member_raises_its_error(self, rng):
+        squeezed = np.diag([1e7, 0.25e-7])
+        with pytest.raises(SingularSum):
+            posterior_covariance(RealCovariance(squeezed), RealCovariance(squeezed))
+        alphas = np.stack([np.eye(2), squeezed, random_admissible_cov(rng, 1)])
+        with pytest.raises(SingularSum):
+            posterior_covariance(RealCovariance(alphas), RealCovariance(alphas))
+
+    def test_zero_mode_stack_raises(self):
+        with pytest.raises(NoModes):
+            RealCovariance(np.zeros((3, 0, 0)))
+
+    def test_empty_stack_gives_empty_results(self):
+        alpha = RealCovariance(np.zeros((0, 4, 4)))
+        assert gaussian_entropy(alpha).shape == (0,)
+        general = GeneralMeasurement(RealCovariance(np.zeros((0, 4, 4))))
+        assert entropy_reduction_general(alpha, general).shape == (0,)
