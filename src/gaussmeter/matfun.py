@@ -79,11 +79,8 @@ class LogBase(enum.Enum):
 
 
 def _any(flags) -> bool:
-    """Whether a per-matrix test holds for any member of a stack.
-
-    The test of one 2-D matrix is a numpy scalar, read as it is: reducing
-    it would cost more than the test.
-    """
+    """Whether a per-matrix test holds for any member (one matrix's test is
+    a numpy scalar, read as it is: a reduction would cost more)."""
     return flags.any() if flags.ndim else flags
 
 
@@ -93,14 +90,13 @@ def _first(values, flags):
 
 
 def _entry(w: np.ndarray, i: int):
-    """``w[..., i]``, one entry per member; a numpy scalar rather than a 0-d
-    array for a 1-D ``w``, so that tests on it cost no ufunc call."""
+    """``w[..., i]``, but a numpy scalar, not a 0-d array, for a 1-D ``w``,
+    so that tests on it cost no ufunc call."""
     return w[..., i][()]
 
 
 def _all_finite(x) -> bool:
-    """Whether every entry of a per-matrix figure is finite (one matrix's
-    figure is a numpy scalar, which ``math.isfinite`` reads directly)."""
+    """Whether every per-matrix value is finite (``math.isfinite`` for one)."""
     return bool(np.isfinite(x).all()) if x.ndim else math.isfinite(x)
 
 
