@@ -48,6 +48,8 @@ class EnergyConstraint:
 
     def __post_init__(self):
         h = as_hermitian(self.hamiltonian)
+        if h.ndim != 2:
+            raise DimensionMismatch(f"energy matrix must be one matrix, got shape {h.shape}")
         if np.linalg.eigvalsh(h).min() <= 1e-12:
             raise NotPositiveDefinite("energy matrix must be positive definite")
         if not 0.0 < self.budget < math.inf:
@@ -286,6 +288,9 @@ def cea_multimode(
     Lambda, so one ascent from ``Lambda = eps^-1`` with the analytic
     gradient suffices, and its Frank-Wolfe gap certifies the result.
     """
+    if meas.noise.ndim != 2:
+        raise DimensionMismatch(
+            f"expected one measurement, got a stack of shape {meas.noise.shape}")
     if meas.s != constraint.s:
         raise DimensionMismatch(
             f"measurement has {meas.s} modes, constraint has {constraint.s}"

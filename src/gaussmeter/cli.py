@@ -98,6 +98,8 @@ def load_matrix_file(path: str, side: int | None = None) -> tuple[np.ndarray, in
             matrix = matrix + 1j * np.asarray(im_part, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: matrix entries must be numbers")
+    if matrix.ndim > 2:
+        raise ValueError(f"{path}: matrix entries must be numbers")
     if side is not None and n != side * modes:
         raise ValueError(
             f"{path}: matrix is {n}x{n} but s={modes} requires {side * modes}x{side * modes}"

@@ -196,7 +196,8 @@ def g_scalar(x: float | np.ndarray, base: LogBase = LogBase.BITS) -> float | np.
 
 
 def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
+    """Apply a scalar function to a Hermitian matrix (or to each matrix of a
+    stack) through its spectrum.
 
     Eigenvalues in ``[-EIG_CLIP, 0]`` (relative) are clipped to 0 first.
 
@@ -205,7 +206,8 @@ def hermitian_function(matrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.nda
         NegativeEigenvalue: if an eigenvalue lies below that range.
     """
     w, u = np.linalg.eigh(as_hermitian(matrix))
-    return (u * fn(_clipped_spectrum(w, EIG_CLIP))) @ u.conj().T
+    values = fn(_clipped_spectrum(w, EIG_CLIP))
+    return (u * values[..., None, :]) @ u.swapaxes(-1, -2).conj()
 
 
 def _clipped_spectrum(w: np.ndarray, clip) -> np.ndarray:

@@ -14,7 +14,7 @@ from gaussmeter.capacity import (
     gain,
     sweep_one_mode,
 )
-from gaussmeter.errors import InfeasibleConstraint, InvalidRange
+from gaussmeter.errors import DimensionMismatch, InfeasibleConstraint, InvalidRange
 from gaussmeter.gauge import GaugeMeasurement, GaugeState, entropy_reduction_gauge
 from gaussmeter.matfun import LogBase, g_scalar
 
@@ -153,6 +153,14 @@ class TestCapacityOrdering:
 
 
 class TestMultimode:
+    def test_stacks_are_rejected(self):
+        # the optimizer takes one measurement and one energy matrix
+        with pytest.raises(DimensionMismatch):
+            EnergyConstraint(np.stack([np.eye(2)] * 3), 1.0)
+        with pytest.raises(DimensionMismatch):
+            cea_multimode(GaugeMeasurement(np.zeros((3, 2, 2), dtype=complex)),
+                          EnergyConstraint(np.eye(2), 1.0))
+
     def test_one_mode_recovers_closed_form(self, rng):
         for _ in range(20):
             noise = float(rng.uniform(0.0, 5.0))

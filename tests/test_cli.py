@@ -364,6 +364,12 @@ def test_load_matrix_file_complex(tmp_path):
     assert matrix[0, 1] == pytest.approx(0.3 + 0.2j)
 
 
+def test_load_matrix_file_rejects_nested_entries(tmp_path):
+    path = write_matrix(tmp_path / "m.json", [[[1.0, 0.0], [0.0, 1.0]]] * 2, s=2)
+    with pytest.raises(ValueError, match="entries must be numbers"):
+        load_matrix_file(path, side=1)
+
+
 def test_load_matrix_file_size_mismatch(tmp_path):
     path = write_matrix(tmp_path / "m.json", [[1.0]], s=2)
     with pytest.raises(ValueError, match="requires"):

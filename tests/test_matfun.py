@@ -253,6 +253,7 @@ class TestStacks:
         assert np.array_equal(g_trace(lams), [g_trace(m) for m in lams])
         assert np.array_equal(g_trace(lams, LogBase.NATS),
                               [g_trace(m, LogBase.NATS) for m in lams])
+        assert np.array_equal(psd_sqrt(lams), np.stack([psd_sqrt(m) for m in lams]))
         real = lams.real
         assert np.array_equal(as_symmetric(real), np.stack([as_symmetric(m) for m in real]))
 
