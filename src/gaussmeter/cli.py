@@ -48,6 +48,9 @@ SCHEMA = "1"
 # round-trip through parsing idempotently.
 _CSV_ROW = ",".join(["%.11e"] * 5) + "\n"
 
+# Size of the sweep's SVG chart, in pixels.
+_SVG_WIDTH, _SVG_HEIGHT = 640, 440
+
 
 def _load_json(path: str):
     """Parse a JSON file, reporting the position of a syntax error."""
@@ -68,10 +71,9 @@ def load_matrix_file(path: str, side: int | None = None) -> tuple[np.ndarray, in
     doc = _load_json(path)
     if not isinstance(doc, dict) or "re" not in doc or "s" not in doc:
         raise ValueError(f"{path}: expected an object with keys 're' and 's'")
-    try:
-        modes = int(doc["s"])
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: mode count must be an integer, got {doc['s']!r}")
+    modes = doc["s"]
+    if not isinstance(modes, int) or isinstance(modes, bool):
+        raise ValueError(f"{path}: mode count must be an integer, got {modes!r}")
     if modes < 1:
         raise ValueError(f"{path}: mode count must be positive, got {modes}")
     re_part = doc["re"]
@@ -219,9 +221,9 @@ def format_sweep_csv(rows) -> str:
     return "N,E,C_ea,C,G\n" + _CSV_ROW * len(rows) % values
 
 
-def _svg_chart(rows, width: int = 640, height: int = 440) -> str:
+def _svg_chart(rows) -> str:
     """Line chart of the gain vs energy (log x axis), one polyline per noise."""
-    margin = 60
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, 60
     noises, energies, _, _, gains = zip(*rows)
     xs = list(map(math.log10, energies))
     x_lo, x_hi = min(xs), max(xs)

@@ -51,11 +51,8 @@ Carlo, with its standard error.
 The kernel integrates its outcomes chunk by chunk in the calling thread,
 each chunk holding at most ``CHUNK_ENTRIES`` entries of the per-outcome
 Gram stack (one outcome at the least); BLAS threads are its only
-parallelism.  Each call allocates one workspace of ``CHUNK_ENTRIES`` complex
-entries and writes its largest stacks there, so every call makes the same
-large allocation whatever its grid, state or predecessor.  The kept blocks
-are read-only and guarded by a lock, so calls from several threads share
-them safely.
+parallelism.  The kept blocks are read-only and guarded by a lock, so calls
+from several threads share them safely.
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -107,15 +104,8 @@ TAIL_TOL = 1e-6
 # Entries of the per-outcome stack in one chunk: the kernel's Gram matrices
 # (``r^2`` per outcome), or the block builder's ``X_k`` (``dim u_k`` per
 # radius).  256 full-width one-mode outcomes at dim 40.  Bounds the kernel's
-# working memory at any mode count and support size.  It is also the size, in
-# complex entries, of the workspace that every call allocates (larger only
-# when a single outcome's stack exceeds it), and the most that the blocks kept
-# across calls hold (see _mode_blocks).  A fixed size is the
-# point: glibc's malloc maps a block at or above its mmap threshold on its own
-# and unmaps it on free, so its pages fault afresh on every use, and it raises
-# the threshold to the size of each such block it frees.  The workspace sets
-# the threshold on the first call; from then on every stack of the kernel comes
-# from heap pages the process keeps, whatever sizes earlier calls used.
+# working memory at any mode count and support size.  It is also the most, in
+# complex entries, that the blocks kept across calls hold (see _mode_blocks).
 CHUNK_ENTRIES = 256 * 40 * 40
 
 # Gauss-Hermite nodes per axis of the default one-mode rule, and the innermost
@@ -755,13 +745,12 @@ def _er_outcome_terms(
     for one point as for any batch.
 
     Chunks hold at most ``CHUNK_ENTRIES`` entries of the per-outcome stack,
-    ``r^2`` for ``G``.  Each chunk writes its ``P`` stack, the later modes'
-    gathered blocks and the ``P`` each outcome gathers as reals into one
-    workspace of ``CHUNK_ENTRIES`` complex entries (see that constant): at
-    most ``m`` distinct tuples and ``m`` outcomes take ``2 m r^2`` reals.
-    Besides, each mode's block stack holds ``u_k^2`` reals per distinct
-    radius of the whole column, kept or not.  The chunk size changes no bit
-    of the results, nor does the builder's.
+    ``r^2`` for ``G``: a chunk of ``m`` outcomes allocates its ``P`` stack
+    (``r^2`` reals per distinct tuple), the gathered blocks and each
+    outcome's ``P`` and ``G`` as it goes.  Besides, each mode's block stack
+    holds ``u_k^2`` reals per distinct radius of the whole column, kept or
+    not.  The chunk size changes no bit of the results, nor does the
+    builder's.
 
     Returns ``(p, spectra, rows)``: the density ``p = tr G`` and the spectrum
     of ``G / p``, one row of ``r`` eigenvalues per integrated point,
@@ -801,36 +790,26 @@ def _er_outcome_terms(
         tuples, rows = inverse, np.arange(points.shape[0])
         amplitudes = 1.0  # the blocks' product is P[S, S] itself
         phases = reduce(np.add, map(np.multiply.outer, np.angle(points).T, levels))
-    per_outcome = rank * rank
     n = tuples.size
-    chunk = max(1, CHUNK_ENTRIES // per_outcome)
-    work = np.empty(max(CHUNK_ENTRIES, per_outcome), dtype=complex).view(float)
+    chunk = max(1, CHUNK_ENTRIES // (rank * rank))
     density = np.zeros(n)
     spectra = np.zeros((n, rank))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         distinct, local = np.unique(tuples[start:stop], return_inverse=True)
-        # the distinct tuples' P at the front of the workspace; behind it the
-        # later modes' gathered blocks, then each outcome's gathered P
-        size = distinct.size * per_outcome
-        built, behind = work[:size].reshape(distinct.size, per_outcome), work[size:]
-        for k, (stack, flat, radius) in enumerate(zip(stacks, flats, tuple_radii)):
-            # mode="clip" gathers straight into the stack; "raise" would
-            # buffer (every index is in range by construction)
-            ids, out = radius[distinct], behind[:size].reshape(built.shape) if k else built
+        # the distinct tuples' P, each mode's gathered blocks multiplied in
+        # mode order
+        built = amplitudes
+        for stack, flat, radius in zip(stacks, flats, tuple_radii):
+            ids = radius[distinct]
             if flat is None:
-                block = np.take(stack, ids, axis=0, out=out, mode="clip")
+                built = built * stack[ids]
             else:
-                block = np.take(stack, ids[:, None] * stack.shape[1] + flat, out=out,
-                                mode="clip")
-            built *= block if k else amplitudes
+                built = built * np.take(stack, ids[:, None] * stack.shape[1] + flat)
         if diagonal:
             gram = built.reshape(-1, rank, rank)
         else:
-            m = stop - start
-            p_stack = np.take(built, local, axis=0, mode="clip",
-                              out=behind[: m * per_outcome].reshape(m, -1))
-            p_stack = p_stack.reshape(m, rank, rank)
+            p_stack = built[local].reshape(-1, rank, rank)
             # W_phi: W with the phase e^{-i sum_k phi_k n_k} on each row.
             # P W_phi is taken in real arithmetic on its interleaved real and
             # imaginary parts; W_phi^dag then conjugates W_phi in place

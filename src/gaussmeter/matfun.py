@@ -259,12 +259,6 @@ class SymplecticForm:
         delta.setflags(write=False)
         return delta
 
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        inv = -self.matrix
-        inv.setflags(write=False)
-        return inv
-
 
 @lru_cache(maxsize=None)
 def symplectic_form(s: int) -> SymplecticForm:

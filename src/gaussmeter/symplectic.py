@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCovariance, SingularSum
-from .gauge import GaugeMeasurement, GaugeState
+from .errors import DimensionMismatch, InvalidCovariance, InvalidRange, SingularSum
+from .gauge import OCCUPATION_LIMIT, GaugeMeasurement, GaugeState
 from .matfun import (
     LogBase,
     SymplecticForm,
@@ -31,6 +31,7 @@ from .matfun import (
     _as_covariance,
     _as_float,
     _clipped_spectrum,
+    _entry,
     _first,
     _symplectic_spectrum,
     _williamson_core,
@@ -65,14 +66,16 @@ def validate_covariance(
     satisfy ``margin >= -1e-9`` (equivalently all symplectic eigenvalues
     are at least 1/2).  For a stack both are arrays over its leading axes.
     """
-    margin = _as_float(_admissibility_margin(_as_covariance(alpha, form), form))
+    w = _admissibility_spectrum(_as_covariance(alpha, form), form)
+    margin = _as_float(_entry(w, 0))
     return margin >= -ADMISSIBILITY_TOL, margin
 
 
-def _admissibility_margin(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
-    """The margin of :func:`validate_covariance` for validated symmetric
-    ``2s x 2s`` matrices, one per member of a stack."""
-    return np.linalg.eigvalsh(a + 0.5j * form.matrix).min(axis=-1)
+def _admissibility_spectrum(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
+    """Ascending eigenvalues of ``alpha + (i/2) Delta`` for validated
+    symmetric ``2s x 2s`` matrices, one row per member of a stack; the first
+    is the margin of :func:`validate_covariance`."""
+    return np.linalg.eigvalsh(a + 0.5j * form.matrix)
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,12 @@ class RealCovariance:
     """Admissible quantum covariance matrix in interleaved quadratures.
 
     Validated once, on construction; ``spectrum`` is taken once, on first use.
+
+    Raises:
+        InvalidCovariance: if the admissibility margin is below -1e-9.
+        InvalidRange: if the largest eigenvalue of ``cov + (i/2) Delta``
+            exceeds ``gauge.OCCUPATION_LIMIT``, the square root of the
+            largest float, where the Williamson core overflows.
     """
 
     cov: np.ndarray
@@ -88,11 +97,18 @@ class RealCovariance:
         a = as_symmetric(self.cov)
         if a.shape[-1] % 2 != 0:
             raise InvalidCovariance(f"covariance must be 2s x 2s, got {a.shape}")
-        margin = _admissibility_margin(a, symplectic_form(a.shape[-1] // 2))
+        w = _admissibility_spectrum(a, symplectic_form(a.shape[-1] // 2))
+        margin, high = _entry(w, 0), _entry(w, -1)
         bad = margin < -ADMISSIBILITY_TOL
         if _any(bad):
             raise InvalidCovariance(
                 f"admissibility margin {_first(margin, bad):.3e} < -1e-9")
+        big = high > OCCUPATION_LIMIT
+        if _any(big):
+            raise InvalidRange(
+                f"covariance has eigenvalue {_first(high, big):.3e} above "
+                f"sqrt(max float) = {OCCUPATION_LIMIT:.3e}, where its Williamson "
+                "core overflows")
         object.__setattr__(self, "cov", a)
 
     @cached_property

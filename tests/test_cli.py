@@ -69,7 +69,8 @@ class TestErGauge:
         assert main(["er-gauge", "--lambda", str(lam), "--noise", noise]) == 2
         assert "row 0" in capsys.readouterr().err
         for text in ('{"s": 1, "re": [1.0]}', '{"s": 1, "re": [["a"]]}',
-                     '{"s": [1], "re": [[1.0]]}'):
+                     '{"s": [1], "re": [[1.0]]}', '{"s": 1.5, "re": [[1.0]]}',
+                     '{"s": true, "re": [[1.0]]}', '{"s": "2", "re": [[1.0]]}'):
             lam.write_text(text)
             assert main(["er-gauge", "--lambda", str(lam), "--noise", noise]) == 2
             assert str(lam) in capsys.readouterr().err

@@ -139,7 +139,7 @@ class TestPosteriorCovariance:
             alpha = random_admissible_cov(rng, s)
             beta = random_admissible_cov(rng, s)
             assert np.abs(beta @ form.matrix - form.matrix @ beta).max() > 1e-3
-            squared = 4.0 * np.linalg.matrix_power(beta @ form.inverse, 2)
+            squared = 4.0 * np.linalg.matrix_power(beta @ form.matrix.T, 2)
             factor = sqrtm(np.eye(2 * s) + np.linalg.inv(squared))
             assert np.abs(factor.imag).max() < 1e-10
             factor = factor.real
