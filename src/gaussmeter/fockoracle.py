@@ -797,8 +797,8 @@ def _er_outcome_terms(
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         distinct, local = np.unique(tuples[start:stop], return_inverse=True)
-        # the distinct tuples' P, each mode's gathered blocks multiplied in
-        # mode order
+        # the distinct tuples' P: each mode's gathered blocks, multiplied in
+        # mode order (the order fixes the last bits)
         built = amplitudes
         for stack, flat, radius in zip(stacks, flats, tuple_radii):
             ids = radius[distinct]

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -574,9 +575,9 @@ class TestChunking:
     @staticmethod
     def assert_chunking_invariant(monkeypatch, rho, noise, grid):
         """``(value, estimate)`` on the default chunks, on chunks of one
-        outcome (``CHUNK_ENTRIES`` below any outcome's stack, so the workspace
-        is that stack) and on chunks of five full-support outcomes, equal.
-        Each run builds its blocks afresh, in chunks of its own size."""
+        outcome (``CHUNK_ENTRIES`` below any outcome's stack) and on chunks of
+        five full-support outcomes, equal.  Each run builds its blocks
+        afresh, in chunks of its own size."""
         default = er_numeric(rho, noise, grid, mass_tol=math.inf)
         support = np.count_nonzero(np.abs(rho).sum(axis=0))
         for entries in (1, 5 * support**2):
@@ -624,6 +625,31 @@ class TestChunking:
         monkeypatch.setenv("GAUSSMETER_THREADS", "8")
         er_numeric(thermal_state(1.0, 40), 1.0, cartesian_grid(6.0, 15 / 64))
         assert started == []
+
+
+class TestWorkingMemory:
+    """A warm call allocates what its chunks need, and no fixed
+    ``CHUNK_ENTRIES``-sized workspace (6.5 MB)."""
+
+    @pytest.mark.parametrize("case", ["thermal", "rank12", "two_mode"])
+    def test_warm_call_peaks_under_2_mb(self, rng, case):
+        # at dim 40 on the default grid, and the two-mode thermal product at
+        # dim 16 on 48 Monte Carlo points: 0.5, 1.3 and 0.3 MB at the peak
+        one_mode = default_grid(1.0, 1.0)
+        rho, noise, grid = {
+            "thermal": (thermal_state(1.0, 40), 1.0, one_mode),
+            "rank12": (random_low_energy_state(rng, 12, 40), 1.0, one_mode),
+            "two_mode": (thermal_state((0.2, 0.3), 16), (0.1, 0.3),
+                         monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5)),
+        }[case]
+        er_numeric(rho, noise, grid, mass_tol=math.inf)  # keeps its blocks
+        tracemalloc.start()
+        try:
+            er_numeric(rho, noise, grid, mass_tol=math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestWorkerThreads:

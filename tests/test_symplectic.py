@@ -15,11 +15,13 @@ from gaussmeter import matfun, symplectic
 from gaussmeter.errors import (
     DimensionMismatch,
     InvalidCovariance,
+    InvalidRange,
     NoModes,
     NotSymmetric,
     SingularSum,
 )
 from gaussmeter.gauge import (
+    OCCUPATION_LIMIT,
     GaugeMeasurement,
     GaugeState,
     entropy_reduction_gauge,
@@ -353,6 +355,40 @@ def test_real_covariance_rejects_complex_entries():
     alpha = RealCovariance(np.eye(2).astype(complex))
     assert alpha.cov.dtype == np.float64
     assert alpha.cov.tolist() == np.eye(2).tolist()
+
+
+class TestHugeCovariance:
+    """Past ``OCCUPATION_LIMIT`` the Williamson core overflows, so
+    construction raises ``InvalidRange`` before any warning (pytest turns
+    warnings into errors); just below it the real form still evaluates."""
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_raises_at_construction(self, scale, s):
+        limit = r"above sqrt\(max float\) = 1\.341e\+154"
+        with pytest.raises(InvalidRange, match=limit) as alone:
+            RealCovariance(scale * np.eye(2 * s))
+        with pytest.raises(InvalidRange) as stacked:
+            RealCovariance(np.stack([np.eye(2 * s), scale * np.eye(2 * s)]))
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(InvalidRange):
+            embed_gauge_invariant(GaugeState(scale * np.eye(s)), GaugeMeasurement(np.eye(s)))
+
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_just_below_the_limit_evaluates(self, s):
+        lam = 1.339e154
+        assert lam + 0.5 < OCCUPATION_LIMIT
+        alpha = RealCovariance(lam * np.eye(2 * s))
+        noise = GeneralMeasurement(RealCovariance(1.5 * np.eye(2 * s)))
+        assert math.isfinite(gaussian_entropy(alpha))
+        assert math.isfinite(entropy_reduction_general(alpha, noise))
+        state, meas = embed_gauge_invariant(GaugeState(lam * np.eye(s)),
+                                            GaugeMeasurement(np.eye(s)))
+        er = entropy_reduction_general(state, meas)
+        assert math.isfinite(gaussian_entropy(state))
+        assert er == pytest.approx(
+            entropy_reduction_gauge(GaugeState(lam * np.eye(s)), GaugeMeasurement(np.eye(s))),
+            rel=1e-12)
 
 
 class TestValidatedOnce:
