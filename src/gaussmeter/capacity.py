@@ -22,7 +22,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .gauge import GaugeMeasurement, GaugeState, _entropy_reduction_gradient
-from .matfun import LogBase, as_hermitian, g_scalar, hermitian_function
+from .matfun import SMALLEST_NORMAL, LogBase, as_hermitian, g_scalar, hermitian_function
 
 # The multimode ascent stops at a Frank-Wolfe gap (in the report's base) of
 # GAP_TOL.  Its line search takes a rise below VALUE_RTOL of the value from
@@ -103,15 +103,37 @@ def cea_one_mode(
 ) -> float | np.ndarray:
     """Assisted capacity of the one-mode measurement with noise ``noise``.
 
-    ``g(E) - g(N E / (N + E + 1))`` in the requested base; the optimal input
-    correlation equals the energy budget.  ``energy`` and ``noise`` are
-    scalars or arrays that broadcast together; returns a ``float`` for
-    scalars, else an array.
+    ``g(E) - g(M)`` with ``M = N E / (N + E + 1)``, in the requested base;
+    the optimal input correlation equals the energy budget.  ``energy`` and
+    ``noise`` are scalars or arrays that broadcast together; returns a
+    ``float`` for scalars, else an array.
+
+    The two terms cancel as ``M`` nears ``E`` at large noise (the difference
+    read 0 from N = 1e16 at E = 1), so it is taken in log1p terms of
+    ``delta = E - M = E (E + 1) / (N + E + 1)``::
+
+        delta log1p(1/E) + log1p(E / (N + 1)) - M log1p(1/N)
+
+    which keeps a relative error of a few ulps at every noise; the gain
+    tends to ``(E + 1) log(1 + 1/E)`` as N grows.  N = 0 and subnormal
+    arguments take the plain difference, so the noiseless capacity is
+    ``g_scalar(E)`` exactly.
     """
-    energy, noise = _check_scalar_args(energy, noise)
-    return g_scalar(energy, base) - g_scalar(
-        noise * energy / (noise + energy + 1.0), base
-    )
+    energy, noise = np.broadcast_arrays(*_check_scalar_args(energy, noise))
+    total = noise + energy + 1.0
+    reduced = noise * energy / total
+    # 1/x is inf at N = 0 and for a subnormal E or N: those entries take the
+    # plain difference below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.asarray(energy * ((energy + 1.0) / total) * np.log1p(1.0 / energy)
+                         + np.log1p(energy / (noise + 1.0))
+                         - reduced * np.log1p(1.0 / noise))
+    plain = np.minimum(energy, noise) < SMALLEST_NORMAL
+    if plain.any():
+        out[plain] = (g_scalar(energy[plain], LogBase.NATS)
+                      - g_scalar(reduced[plain], LogBase.NATS))
+    out = out / base.ln_base
+    return float(out) if out.ndim == 0 else out
 
 
 def c_unassisted_one_mode(
@@ -126,12 +148,22 @@ def c_unassisted_one_mode(
     return float(out) if out.ndim == 0 else out
 
 
+def _ratio(assisted, unassisted):
+    """The gain ``assisted / unassisted``, of scalars or of arrays.
+
+    Raises:
+        DivisionDegenerate: if an unassisted capacity is below 1e-300,
+            where the quotient would be subnormal, infinite or NaN.
+    """
+    if np.min(unassisted) < 1e-300:
+        raise DivisionDegenerate(
+            f"unassisted capacity {np.min(unassisted):.3e} underflowed below 1e-300")
+    return assisted / unassisted
+
+
 def gain(energy: float, noise: float, base: LogBase = LogBase.BITS) -> float:
     """Assistance gain, the ratio of assisted to unassisted capacity."""
-    unassisted = c_unassisted_one_mode(energy, noise, base)
-    if unassisted < 1e-300:
-        raise DivisionDegenerate("unassisted capacity underflowed")
-    return cea_one_mode(energy, noise, base) / unassisted
+    return _ratio(cea_one_mode(energy, noise, base), c_unassisted_one_mode(energy, noise, base))
 
 
 def excess_limit(noise: float, base: LogBase = LogBase.BITS) -> float:
@@ -152,14 +184,15 @@ class SweepPoint(NamedTuple):
     gain: float
 
 
-def sweep_one_mode(
+def _sweep_columns(
     noise_values: Sequence[float],
     energy_grid: Sequence[float],
     base: LogBase = LogBase.BITS,
-) -> list[SweepPoint]:
-    """Closed-form capacity table over a noise/energy grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep table as the five float columns of :class:`SweepPoint`.
 
-    Rows are ordered by noise, then energy, regardless of input order.
+    Entries are ordered by noise, then energy, both sorted; the gain column
+    follows :func:`gain`'s rule.
     """
     if len(noise_values) == 0 or len(energy_grid) == 0:
         raise InvalidRange("sweep grids must be nonempty")
@@ -168,7 +201,23 @@ def sweep_one_mode(
     noise, energy = noise.ravel(), energy.ravel()
     assisted = cea_one_mode(energy, noise, base)
     unassisted = c_unassisted_one_mode(energy, noise, base)
-    columns = (noise, energy, assisted, unassisted, assisted / unassisted)
+    return noise, energy, assisted, unassisted, _ratio(assisted, unassisted)
+
+
+def sweep_one_mode(
+    noise_values: Sequence[float],
+    energy_grid: Sequence[float],
+    base: LogBase = LogBase.BITS,
+) -> list[SweepPoint]:
+    """Closed-form capacity table over a noise/energy grid.
+
+    Rows are ordered by noise, then energy, regardless of input order.
+
+    Raises:
+        DivisionDegenerate: if an unassisted capacity is below 1e-300, as
+            :func:`gain` does.
+    """
+    columns = _sweep_columns(noise_values, energy_grid, base)
     return list(map(SweepPoint._make, zip(*(c.tolist() for c in columns))))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -25,11 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .capacity import (
-    EnergyConstraint,
-    cea_multimode,
-    sweep_one_mode,
-)
+from .capacity import EnergyConstraint, _sweep_columns, cea_multimode
 from .errors import NumericalError, ValidationError
 from .gauge import GaugeMeasurement, GaugeState, entropy_reduction_gauge, posterior_params
 from .matfun import LogBase
@@ -45,8 +40,10 @@ SCHEMA = "1"
 
 
 # One CSV row of five values, each to 12 significant digits, which
-# round-trip through parsing idempotently.
-_CSV_ROW = ",".join(["%.11e"] * 5) + "\n"
+# round-trip through parsing idempotently.  N and E come in as text, each
+# distinct value formatted once by _distinct_text.
+_NUMBER = "%.11e"
+_CSV_ROW = "%s,%s," + ",".join([_NUMBER] * 3) + "\n"
 
 # Size of the sweep's SVG chart, in pixels.
 _SVG_WIDTH, _SVG_HEIGHT = 640, 440
@@ -215,21 +212,43 @@ def load_sweep_spec(path: str):
     return noises, energies, base
 
 
+def _distinct_text(column: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % v`` for every entry of a float column, as an object array,
+    formatting each distinct value once.  Values are told apart by bit
+    pattern, so that -0.0 and 0.0 keep their own text."""
+    keys, index = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array([fmt % v for v in keys.view(float).tolist()], dtype=object)[index]
+
+
+def _sweep_csv(noise, energy, assisted, unassisted, gain) -> str:
+    """The sweep table, given as its five float columns, as CSV."""
+    values = [None] * (5 * len(noise))
+    values[0::5] = _distinct_text(noise, _NUMBER).tolist()
+    values[1::5] = _distinct_text(energy, _NUMBER).tolist()
+    values[2::5] = assisted.tolist()
+    values[3::5] = unassisted.tolist()
+    values[4::5] = gain.tolist()
+    return "N,E,C_ea,C,G\n" + _CSV_ROW * len(noise) % tuple(values)
+
+
 def format_sweep_csv(rows) -> str:
     """The table of :class:`SweepPoint` rows as CSV, one ``_CSV_ROW`` each."""
-    values = tuple(itertools.chain.from_iterable(rows))
-    return "N,E,C_ea,C,G\n" + _CSV_ROW * len(rows) % values
+    return _sweep_csv(*np.array(rows, dtype=float).reshape(len(rows), 5).T)
 
 
-def _svg_chart(rows) -> str:
-    """Line chart of the gain vs energy (log x axis), one polyline per noise."""
+def _svg_chart(noise, energy, gain) -> str:
+    """Line chart of the gain vs energy (log x axis), one polyline per noise,
+    from the sweep's noise, energy and gain columns."""
     width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, 60
-    noises, energies, _, _, gains = zip(*rows)
-    xs = list(map(math.log10, energies))
+    # x is taken once per distinct energy
+    distinct, at_energy = np.unique(energy.view(np.int64), return_inverse=True)
+    xs = list(map(math.log10, distinct.view(float).tolist()))
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, max(gains) * 1.05
+    y_lo, y_hi = 0.0, float(gain.max()) * 1.05
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
 
     # px and py take a number for a tick or an array for a whole polyline,
     # with the same operations in the same order either way
@@ -268,20 +287,24 @@ def _svg_chart(rows) -> str:
         f'<text x="16" y="{height/2:.0f}" font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 16 {height/2:.0f})">gain</text>'
     )
-    pairs = map("%.2f,%.2f".__mod__,
-                zip(px(np.array(xs)).tolist(), py(np.array(gains)).tolist()))
+    x_text = np.array(["%.2f" % x for x in px(np.array(xs)).tolist()], dtype=object)
+    pairs = list(map("%s,%.2f".__mod__, zip(x_text[at_energy].tolist(), py(gain).tolist())))
+    # one curve per noise value, grouped by a dict on the value: -0.0 joins
+    # 0.0, the first key inserted labels the curve, and the curves go in
+    # increasing noise.  Rows of one noise come in runs, appended whole
+    starts = np.flatnonzero(np.diff(noise, prepend=np.nan)).tolist()
     points = {}
-    for noise, pair in zip(noises, pairs):
-        points.setdefault(noise, []).append(pair)
-    for idx, noise in enumerate(sorted(points)):
+    for start, end in zip(starts, starts[1:] + [len(pairs)]):
+        points.setdefault(noise[start].item(), []).extend(pairs[start:end])
+    for idx, value in enumerate(sorted(points)):
         color = colors[idx % len(colors)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{" ".join(points[noise])}"/>'
+            f'points="{" ".join(points[value])}"/>'
         )
         parts.append(
             f'<text x="{width-margin+6}" y="{margin+14*idx+10}" font-size="11" '
-            f'fill="{color}">N={noise:g}</text>'
+            f'fill="{color}">N={value:g}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -289,8 +312,8 @@ def _svg_chart(rows) -> str:
 
 def cmd_sweep(args) -> int:
     noises, energies, base = load_sweep_spec(args.spec)
-    rows = sweep_one_mode(noises, energies, base)
-    csv_text = format_sweep_csv(rows)
+    noise, energy, assisted, unassisted, gain = _sweep_columns(noises, energies, base)
+    csv_text = _sweep_csv(noise, energy, assisted, unassisted, gain)
     if args.out == "-":
         sys.stdout.write(csv_text)
     else:
@@ -298,7 +321,7 @@ def cmd_sweep(args) -> int:
             fh.write(csv_text)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_svg_chart(rows))
+            fh.write(_svg_chart(noise, energy, gain))
     return 0
 
 

@@ -21,7 +21,6 @@ alone.  An empty stack ``(0, s, s)`` is valid and gives empty results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .matfun import (
     EIG_CLIP,
+    OCCUPATION_LIMIT,
     LogBase,
     _any,
     _as_float,
@@ -56,10 +56,6 @@ CP_MARGIN_TOL = 1e-9
 # B - _SIGNS * half holds B - half and B + half, the CP condition's two
 # sign choices, on an axis of their own.
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
-
-# Above this occupation (about 1.34e154) N(N+I), and with it
-# sqrt(N(N+I)), overflows.
-OCCUPATION_LIMIT = math.sqrt(float(np.finfo(float).max))
 
 
 def _check_psd(a: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:

@@ -55,6 +55,11 @@ PAIRING_RTOL = 1e-8
 # Below this (2^-1022) 1/x overflows, so g_scalar takes another form there.
 SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
+# Above this (about 1.34e154) the square of a float overflows: N(N+I), and
+# with it sqrt(N(N+I)), for a measurement noise, and the Williamson core for
+# a covariance.
+OCCUPATION_LIMIT = math.sqrt(float(np.finfo(float).max))
+
 
 class LogBase(enum.Enum):
     """Logarithm base used for all entropic quantities (bits or nats)."""
@@ -103,6 +108,21 @@ def _all_finite(x) -> bool:
 def _as_float(x):
     """``x`` as a float when it is one number (the result for one matrix)."""
     return float(x) if x.ndim == 0 else x
+
+
+def _check_scale(high) -> None:
+    """Reject covariances whose largest eigenvalue ``high`` (one per member
+    of a stack) exceeds :data:`OCCUPATION_LIMIT`.
+
+    Raises:
+        InvalidRange: naming the first such eigenvalue.
+    """
+    big = high > OCCUPATION_LIMIT
+    if _any(big):
+        raise InvalidRange(
+            f"covariance has eigenvalue {_first(high, big):.3e} above "
+            f"sqrt(max float) = {OCCUPATION_LIMIT:.3e}, where its Williamson "
+            "core overflows")
 
 
 def as_hermitian(matrix) -> np.ndarray:
@@ -278,6 +298,8 @@ def symplectic_spectrum(alpha, form: SymplecticForm) -> np.ndarray:
         NotSymmetric: if ``alpha`` is not symmetric.
         DimensionMismatch: if ``alpha`` is not ``2s x 2s`` for the form's ``s``.
         NotPositiveDefinite: if ``alpha`` is not positive definite.
+        InvalidRange: if an eigenvalue of ``alpha`` exceeds
+            :data:`OCCUPATION_LIMIT`, where the Williamson core overflows.
         PairingFailure: if the doubled spectrum does not pair within
             tolerance (indicates a badly conditioned input).
     """
@@ -307,12 +329,14 @@ def _williamson_core(
             backward error of the ``eigh`` that gives ``w``.  Any larger
             condition number is accepted, so a strongly squeezed vacuum such
             as ``diag(6e5, 1/2.4e6)`` is.
+        InvalidRange: if ``max w`` exceeds :data:`OCCUPATION_LIMIT`.
     """
     w, u = np.linalg.eigh(a)
     low, high = _entry(w, 0), _entry(w, -1)
     bad = low <= EIGH_RTOL * a.shape[-1] * high
     if _any(bad):
         raise NotPositiveDefinite(f"minimum eigenvalue {_first(low, bad):.3e}")
+    _check_scale(high)
     root = (u * np.sqrt(w)[..., None, :]) @ u.swapaxes(-1, -2)
     delta = form.matrix
     return root, root @ (delta.T @ a @ delta) @ root, high

@@ -22,14 +22,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCovariance, InvalidRange, SingularSum
-from .gauge import OCCUPATION_LIMIT, GaugeMeasurement, GaugeState
+from .errors import DimensionMismatch, InvalidCovariance, SingularSum
+from .gauge import GaugeMeasurement, GaugeState
 from .matfun import (
     LogBase,
     SymplecticForm,
     _any,
     _as_covariance,
     _as_float,
+    _check_scale,
     _clipped_spectrum,
     _entry,
     _first,
@@ -65,8 +66,13 @@ def validate_covariance(
     the Hermitian matrix ``alpha + (i/2) Delta``; admissible covariances
     satisfy ``margin >= -1e-9`` (equivalently all symplectic eigenvalues
     are at least 1/2).  For a stack both are arrays over its leading axes.
+
+    Raises:
+        InvalidRange: if an eigenvalue of ``alpha + (i/2) Delta`` exceeds
+            ``matfun.OCCUPATION_LIMIT``, as :class:`RealCovariance` does.
     """
     w = _admissibility_spectrum(_as_covariance(alpha, form), form)
+    _check_scale(_entry(w, -1))
     margin = _as_float(_entry(w, 0))
     return margin >= -ADMISSIBILITY_TOL, margin
 
@@ -87,7 +93,7 @@ class RealCovariance:
     Raises:
         InvalidCovariance: if the admissibility margin is below -1e-9.
         InvalidRange: if the largest eigenvalue of ``cov + (i/2) Delta``
-            exceeds ``gauge.OCCUPATION_LIMIT``, the square root of the
+            exceeds ``matfun.OCCUPATION_LIMIT``, the square root of the
             largest float, where the Williamson core overflows.
     """
 
@@ -98,17 +104,12 @@ class RealCovariance:
         if a.shape[-1] % 2 != 0:
             raise InvalidCovariance(f"covariance must be 2s x 2s, got {a.shape}")
         w = _admissibility_spectrum(a, symplectic_form(a.shape[-1] // 2))
-        margin, high = _entry(w, 0), _entry(w, -1)
+        margin = _entry(w, 0)
         bad = margin < -ADMISSIBILITY_TOL
         if _any(bad):
             raise InvalidCovariance(
                 f"admissibility margin {_first(margin, bad):.3e} < -1e-9")
-        big = high > OCCUPATION_LIMIT
-        if _any(big):
-            raise InvalidRange(
-                f"covariance has eigenvalue {_first(high, big):.3e} above "
-                f"sqrt(max float) = {OCCUPATION_LIMIT:.3e}, where its Williamson "
-                "core overflows")
+        _check_scale(_entry(w, -1))
         object.__setattr__(self, "cov", a)
 
     @cached_property

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from gaussmeter.capacity import (
     gain,
     sweep_one_mode,
 )
-from gaussmeter.errors import DimensionMismatch, InfeasibleConstraint, InvalidRange
+from gaussmeter.errors import (
+    DimensionMismatch,
+    DivisionDegenerate,
+    InfeasibleConstraint,
+    InvalidRange,
+)
 from gaussmeter.gauge import GaugeMeasurement, GaugeState, entropy_reduction_gauge
 from gaussmeter.matfun import LogBase, g_scalar
 
@@ -74,6 +80,55 @@ class TestOneModeClosedForms:
         assert cea_one_mode(1.0, 0.0, LogBase.NATS) == pytest.approx(
             2.0 * math.log(2.0)
         )
+
+
+def reference_cea_bits(energy: float, noise: float) -> float:
+    """g(E) - g(N E / (N + E + 1)) in bits, from the exact binary values of
+    the arguments, evaluated with 50 decimal digits (stdlib ``decimal``)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e, n = Decimal(energy), Decimal(noise)
+
+        def g(x):
+            return (x + 1) * (x + 1).ln() - x * x.ln() if x else Decimal(0)
+
+        return float((g(e) - g(n * e / (n + e + 1))) / Decimal(2).ln())
+
+
+class TestLargeNoise:
+    """g(E) - g(M) cancels as M = N E / (N + E + 1) nears E; the closed form
+    keeps its relative accuracy at every noise."""
+
+    @pytest.mark.parametrize("energy", [1e-3, 1.0, 1e3])
+    def test_matches_decimal_reference(self, energy):
+        noises = np.geomspace(1e-3, 1e20, 47)
+        values = cea_one_mode(energy, noises)
+        for noise, value in zip(noises.tolist(), values.tolist()):
+            exact = reference_cea_bits(energy, noise)
+            # a few ulps: the largest error measured on this grid is 4.7e-16
+            assert abs(value - exact) <= 4e-15 * exact, (energy, noise)
+            assert cea_one_mode(energy, noise) == value
+
+    @pytest.mark.parametrize("energy", [1e-3, 1.0, 1e3])
+    def test_gain_tends_to_its_limit(self, energy):
+        # C_ea ~ (E + 1) log(1 + 1/E) E / N and C ~ E / N nats as N grows
+        limit = (energy + 1.0) * math.log1p(1.0 / energy)
+        for noise in (1e16, 1e20, 1e100, 1e250):
+            assert gain(energy, noise) == pytest.approx(limit, rel=1e-12)
+        # at E = 1 the limit is 2 ln 2; the assisted capacity read 0 here
+        assert gain(1.0, 1e300) == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+
+    def test_subnormal_arguments_take_the_plain_difference(self):
+        tiny = 1e-310
+        assert cea_one_mode(tiny, 0.0) == g_scalar(tiny)
+        # 1/x overflows for a subnormal x: these take g(E) - g(M), in nats
+        assert cea_one_mode(tiny, 2.0) == pytest.approx(
+            g_scalar(tiny) - g_scalar(2.0 * tiny / (3.0 + tiny)), rel=1e-15)
+        assert cea_one_mode(1.0, tiny) == pytest.approx(
+            2.0 - g_scalar(tiny / (2.0 + tiny)), rel=1e-15)
+        values = cea_one_mode(np.array([tiny, 1.0, 1.0]), np.array([5.0, 0.0, 1e30]))
+        assert values[0] > 0.0 and values[1] == 2.0
+        assert values[2] == pytest.approx(reference_cea_bits(1.0, 1e30), rel=4e-15)
 
 
 class TestGain:
@@ -342,3 +397,12 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidRange):
             sweep_one_mode([], [1.0])
+
+    @pytest.mark.parametrize("noise, energy", [(1e300, 1e-300), (1e10, 1e-300)])
+    def test_gain_column_follows_the_gain_rule(self, noise, energy):
+        # C underflows below 1e-300 here: 0.0 at the first point (the quotient
+        # was NaN) and a subnormal at the second
+        with pytest.raises(DivisionDegenerate):
+            gain(energy, noise)
+        with pytest.raises(DivisionDegenerate, match="underflowed"):
+            sweep_one_mode([1.0, noise], [1.0, energy])

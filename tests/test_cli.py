@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from gaussmeter import capacity, cli
 from gaussmeter.cli import format_sweep_csv, load_matrix_file, main
-from gaussmeter.capacity import sweep_one_mode
+from gaussmeter.capacity import SweepPoint, sweep_one_mode
 
 ER_UNIT = 0.9182958340544896
 
@@ -254,6 +255,92 @@ class TestSweep:
             "60b595b3072cc8bf709942d6da8b25a53b1eb2e181531bf3f6b7665dd82e69fd")
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
             "73ed9208951e76c04a06da7f7953be1505b7471245973a31c5925e2e6ad3e721")
+
+    def sweep_digests(self, tmp_path, **overrides):
+        spec = self.write_spec(tmp_path, **overrides)
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        assert main(["sweep", "--spec", spec, "--out", str(out),
+                     "--svg", str(svg)]) == 0
+        return (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(svg.read_bytes()).hexdigest())
+
+    def test_signed_zero_and_duplicate_bytes_pinned(self, tmp_path):
+        # -0.0 keeps its own CSV text but shares 0.0's curve, and a repeated
+        # noise repeats its rows; digests recorded before the writers took
+        # columns
+        digests = self.sweep_digests(
+            tmp_path, N=[0.0, -0.0, 1.0, 1.0],
+            E={"min": 1e-2, "max": 1e2, "count": 9, "scale": "log"})
+        assert digests == (
+            "14f10fdd216661ad2713a2d123ca16b8c59ef5dd3d187a5e2ca2c2a078859054",
+            "4ec0e57c78851f6be31f1fcd727f56ceab19fd37d7f9cad88d7e629056a1b1ee")
+
+    def test_one_point_bytes_pinned(self, tmp_path):
+        digests = self.sweep_digests(
+            tmp_path, N=[2.5], E={"min": 0.7, "max": 0.7, "count": 1})
+        assert digests == (
+            "c86bcfa7347427b53a7849d63a21b375c305c6dce287c3d7afa5707861fcefe4",
+            "d4d9cc9ae0e3e3b0c6b0020df94a777cb0576810357f91cebb541487377bb6b2")
+
+    def test_unsorted_rows_bytes_pinned(self):
+        # rows in no order, with both signed zeros in N and G, go to the
+        # formatter as they are
+        rows = [SweepPoint(noise, energy, math.log1p(energy) / (noise + 1.0),
+                           energy / 3.0, -energy * noise)
+                for noise in (3.0, -0.0, 1.0, 0.0) for energy in (2.0, 0.25, 1.0)]
+        text = format_sweep_csv(rows)
+        assert text.splitlines()[4].startswith("-0.00000000000e+00,2.00000000000e+00,")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ce7957530f90aa624f64212151cb6eeecd7656d6accfe6054c86727bce78d4b3")
+        assert format_sweep_csv([]) == "N,E,C_ea,C,G\n"
+
+    def test_large_noise_chart(self, tmp_path):
+        # the assisted capacity read 0 here, and the chart divided by a zero
+        # y range
+        spec = self.write_spec(
+            tmp_path, N=[1e16, 1e17], E={"min": 1.0, "max": 1.0, "count": 1})
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        assert main(["sweep", "--spec", spec, "--out", str(out),
+                     "--svg", str(svg)]) == 0
+        for line in out.read_text().splitlines()[1:]:
+            assert float(line.split(",")[-1]) == pytest.approx(2.0 * math.log(2.0),
+                                                               rel=1e-10)
+        assert "nan" not in svg.read_text()
+        # a zero y range widens to one unit, as a zero x range does
+        flat = cli._svg_chart(np.array([1.0]), np.array([2.0]), np.array([0.0]))
+        assert "nan" not in flat and ">1.00</text>" in flat
+
+    @pytest.mark.parametrize("noise", [1e300, 1e10])
+    def test_underflowed_capacity_exits_3(self, tmp_path, capsys, noise):
+        spec = self.write_spec(
+            tmp_path, N=[1.0, noise], E={"min": 1e-300, "max": 1.0, "count": 3})
+        assert main(["sweep", "--spec", spec, "--svg", str(tmp_path / "s.svg")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: unassisted capacity")
+
+    def test_large_sweep_builds_no_rows(self, tmp_path):
+        # 100 000 points: the CSV round-trips, and the traced peak stays well
+        # below the 43.7 MB that building one SweepPoint per row took; the
+        # columns read 33.6 MB.  The chart is left out: under tracemalloc it
+        # would double the test's time
+        spec = self.write_spec(
+            tmp_path, N=np.linspace(0.0, 20.0, 40).tolist(),
+            E={"min": 1e-3, "max": 1e3, "count": 2500, "scale": "log"})
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--spec", spec, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 38e6
+        text = out.read_text()
+        rows = [SweepPoint(*map(float, line.split(",")))
+                for line in text.splitlines()[1:]]
+        assert len(rows) == 40 * 2500
+        assert format_sweep_csv(rows) == text
 
     def test_repeat_after_verify_is_identical(self, tmp_path, monkeypatch, capsys):
         # main resolves the subcommand through the module on every call, so a

@@ -374,6 +374,28 @@ class TestHugeCovariance:
         with pytest.raises(InvalidRange):
             embed_gauge_invariant(GaugeState(scale * np.eye(s)), GaugeMeasurement(np.eye(s)))
 
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_validate_covariance_raises(self, scale, s):
+        # it returned (True, 1e+155) at s = 1
+        limit = r"above sqrt\(max float\) = 1\.341e\+154"
+        form = symplectic_form(s)
+        with pytest.raises(InvalidRange, match=limit):
+            validate_covariance(scale * np.eye(2 * s), form)
+        with pytest.raises(InvalidRange, match=limit):
+            validate_covariance(np.stack([np.eye(2 * s), scale * np.eye(2 * s)]), form)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_symplectic_spectrum_raises(self, scale, s):
+        # it returned [nan] after an overflow warning at s = 1
+        limit = r"above sqrt\(max float\) = 1\.341e\+154"
+        form = symplectic_form(s)
+        with pytest.raises(InvalidRange, match=limit):
+            symplectic_spectrum(scale * np.eye(2 * s), form)
+        with pytest.raises(InvalidRange, match=limit):
+            symplectic_spectrum(np.stack([np.eye(2 * s), scale * np.eye(2 * s)]), form)
+
     @pytest.mark.parametrize("s", [1, 3])
     def test_just_below_the_limit_evaluates(self, s):
         lam = 1.339e154
