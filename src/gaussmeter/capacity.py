@@ -169,11 +169,20 @@ def gain(energy: float, noise: float, base: LogBase = LogBase.BITS) -> float:
 def excess_limit(noise: float, base: LogBase = LogBase.BITS) -> float:
     """Large-energy limit of the assisted-minus-unassisted capacity difference.
 
-    ``log e - N log(1 + 1/N)``, which decays to zero for large noise.
+    ``log e - N log(1 + 1/N)``, which decays to zero for large noise.  From
+    ``N = 16`` on, ``1 - N log1p(1/N)`` is the series
+    ``sum_k (-1)^k x^(k+1) / (k+2)`` in ``x = 1/N``, summed to 15 terms by
+    Horner, since the difference cancels there (it read 0 from ``N = 1e16``).
     """
     if not 0.0 < noise < math.inf:
         raise InvalidRange(f"noise must be positive and finite, got {noise}")
-    return (1.0 - noise * math.log1p(1.0 / noise)) / base.ln_base
+    if noise < 16.0:
+        return (1.0 - noise * math.log1p(1.0 / noise)) / base.ln_base
+    x = 1.0 / noise
+    series = 0.0
+    for k in range(14, -1, -1):
+        series = 1.0 / (k + 2) - x * series
+    return x * series / base.ln_base
 
 
 class SweepPoint(NamedTuple):

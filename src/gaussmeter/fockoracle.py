@@ -21,17 +21,17 @@ depends on the outcome only through the radii ``|z_k|``, and a mode's block
 only on the truncation, the mode's noise occupation, ``|z_k|`` and the
 levels used, never on the state.  So each mode builds its blocks once per
 distinct radius of its outcomes (17 radii for the 120 outcomes inside the
-validity radius of the default grid at dim 40, noise 1) and keeps them
-across calls on the key ``(dim, noise occupation, distinct radii, used
-levels)``, least recently used out first, while all kept blocks hold at
-most ``CHUNK_ENTRIES`` complex entries' bytes (6.5 MB).  A call's cost thus
-depends on whether an earlier call built its keys: one that did builds no
-block.  The kernel forms ``P`` once per distinct radius tuple, for every
-state, and a general state takes ``W_phi^dag P W_phi`` and its spectrum
-per outcome.  A number-diagonal state ``diag(a^2)`` drops every phase: its
-Gram matrix is ``(a a^T)`` times ``P`` entry by entry, its spectrum is taken
-in real arithmetic, and the kernel takes one spectrum per distinct radius
-tuple, whose entropy serves every outcome that shares it.  The
+validity radius of the default grid at dim 40, noise 1), and an
+``lru_cache`` keeps the last ``KEPT_STACKS`` stacks read-only on the key
+``(dim, noise occupation, distinct radii, used levels)``, none above
+``CHUNK_ENTRIES / KEPT_STACKS`` complex entries' bytes (6.5 MB in all).  A
+call's cost thus depends on whether an earlier call built its keys.  The
+kernel forms ``P`` once per distinct radius tuple, for every state, and a
+general state takes ``W_phi^dag P W_phi`` and its spectrum per outcome.  A
+number-diagonal state ``diag(a^2)`` drops every phase: its Gram matrix is
+``(a a^T)`` times ``P`` entry by entry, its spectrum is taken in real
+arithmetic, and the kernel takes one spectrum per distinct radius tuple,
+whose entropy serves every outcome that shares it.  The
 measurement acts mode by mode, so a state that its one-mode marginals
 recompose is split into one part per mode, each with its own posterior at
 every outcome; any other state is one part.  Each part is integrated on its
@@ -51,8 +51,8 @@ Carlo, with its standard error.
 The kernel integrates its outcomes chunk by chunk in the calling thread,
 each chunk holding at most ``CHUNK_ENTRIES`` entries of the per-outcome
 Gram stack (one outcome at the least); BLAS threads are its only
-parallelism.  The kept blocks are read-only and guarded by a lock, so calls
-from several threads share them safely.
+parallelism.  Every array kept across calls is a read-only value of a
+``functools.lru_cache``, so calls from several threads share them safely.
 
 Outcomes whose displaced noise state cannot be represented faithfully at
 the chosen truncation are skipped, with the dropped probability charged
@@ -62,9 +62,7 @@ against the quadrature mass budget; see :func:`validity_radius`.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
@@ -104,8 +102,8 @@ TAIL_TOL = 1e-6
 # Entries of the per-outcome stack in one chunk: the kernel's Gram matrices
 # (``r^2`` per outcome), or the block builder's ``X_k`` (``dim u_k`` per
 # radius).  256 full-width one-mode outcomes at dim 40.  Bounds the kernel's
-# working memory at any mode count and support size.  It is also the most, in
-# complex entries, that the blocks kept across calls hold (see _mode_blocks).
+# working memory at any mode count and support size, and, in complex entries'
+# bytes, the blocks kept across calls (see _mode_blocks).
 CHUNK_ENTRIES = 256 * 40 * 40
 
 # Gauss-Hermite nodes per axis of the default one-mode rule, and the innermost
@@ -227,10 +225,13 @@ def _displacement_basis(dim: int):
     ``U_phi = e^{i phi n}`` and ``D(r) = exp(r(a^dag - a)) =
     V e^{-i r theta} V^dag``, which is real.  ``U_phi a U_phi^dag =
     e^{-i phi} a`` holds on the truncated space too, so the product is exactly
-    the truncated ``exp(z a^dag - conj(z) a)``.
+    the truncated ``exp(z a^dag - conj(z) a)``.  Both arrays are read-only:
+    every call with ``dim`` shares them.
     """
     a = annihilation(dim)
-    return np.linalg.eigh(1j * (a.conj().T - a))
+    theta, v = np.linalg.eigh(1j * (a.conj().T - a))
+    theta.flags.writeable = v.flags.writeable = False
+    return theta, v
 
 
 def unitarity_defect(op: np.ndarray) -> float:
@@ -634,12 +635,6 @@ def monte_carlo_grid(
     return OutcomeGrid(points=points, weights=weights)
 
 
-# Each mode's blocks X_k^T X_k by key, least recently used first; see
-# _mode_blocks.
-_blocks: OrderedDict = OrderedDict()
-_blocks_lock = threading.Lock()
-
-
 def _build_mode_blocks(dim: int, nbar: float, radii: np.ndarray,
                        used: np.ndarray) -> np.ndarray:
     """``(m, u^2)`` stack of one mode's ``X^T X``, one row per radius.
@@ -667,31 +662,33 @@ def _build_mode_blocks(dim: int, nbar: float, radii: np.ndarray,
     return stack
 
 
-def _mode_blocks(dim: int, nbar: float, radii: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """:func:`_build_mode_blocks`, read-only and kept across calls.
+# Stacks of measurement blocks kept across calls; see _mode_blocks.
+KEPT_STACKS = 8
 
-    The stack reads neither the state nor the outcomes' phases, so it is
-    kept on the key ``(dim, nbar, radii, used)`` (the arrays by their
-    bytes), least recently used out first, while the kept stacks hold at
-    most ``CHUNK_ENTRIES`` complex entries' bytes; a larger stack serves its
-    own call and is not kept.  Safe to call from several threads.
-    """
-    key = (dim, float(nbar), radii.tobytes(), used.tobytes())
-    with _blocks_lock:
-        stack = _blocks.get(key)
-        if stack is not None:
-            _blocks.move_to_end(key)
-            return stack
-    stack = _build_mode_blocks(dim, nbar, radii, used)
+
+@lru_cache(maxsize=KEPT_STACKS)
+def _kept_blocks(dim: int, nbar: float, radii: bytes, used: bytes) -> np.ndarray:
+    """:func:`_build_mode_blocks` on the arrays' bytes, read-only."""
+    stack = _build_mode_blocks(dim, nbar, np.frombuffer(radii),
+                               np.frombuffer(used, dtype=np.intp))
     stack.flags.writeable = False
-    budget = CHUNK_ENTRIES * np.dtype(complex).itemsize
-    if stack.nbytes <= budget:
-        with _blocks_lock:
-            _blocks[key] = stack
-            held = sum(kept.nbytes for kept in _blocks.values())
-            while held > budget:
-                held -= _blocks.popitem(last=False)[1].nbytes
     return stack
+
+
+def _mode_blocks(dim: int, nbar: float, radii: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """:func:`_build_mode_blocks`, kept across calls when small.
+
+    The stack reads neither the state nor the outcomes' phases, so
+    :func:`_kept_blocks` keeps the last ``KEPT_STACKS`` stacks used, on the
+    key ``(dim, nbar, radii, used)`` (the arrays by their bytes).  A stack
+    above ``CHUNK_ENTRIES / KEPT_STACKS`` complex entries' bytes serves its
+    own call and is not kept, so the kept stacks hold at most
+    ``CHUNK_ENTRIES`` complex entries' bytes in all.
+    """
+    cap = CHUNK_ENTRIES // KEPT_STACKS * np.dtype(complex).itemsize
+    if radii.size * used.size**2 * np.dtype(float).itemsize > cap:
+        return _build_mode_blocks(dim, nbar, radii, used)
+    return _kept_blocks(dim, float(nbar), radii.tobytes(), used.tobytes())
 
 
 def _er_outcome_terms(
@@ -724,8 +721,9 @@ def _er_outcome_terms(
     act only on ``W_phi``.  So each mode takes the distinct radii of its
     outcome column (a 1-D ``np.unique``, exact float equality) and its
     blocks ``X_k^T X_k`` at those radii from :func:`_mode_blocks`, which
-    keeps them across calls on the key ``(dim, noise occupation, radii,
-    used levels)``: a call whose keys an earlier call built builds no block.
+    keeps the last ``KEPT_STACKS`` small stacks across calls on the key
+    ``(dim, noise occupation, radii, used levels)``: a call whose keys an
+    earlier call built, and that were not pushed out since, builds no block.
     For ``s > 1`` the modes' radius indices combine into the distinct radius
     tuples (``np.ravel_multi_index`` and a 1-D ``np.unique``), so each mode
     builds each of its radii once, not once per tuple.  Each chunk forms

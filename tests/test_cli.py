@@ -416,6 +416,21 @@ class TestVerify:
         assert done.returncode == 0, done.stderr
         assert "cp" in done.stdout and "PASS" in done.stdout
 
+    def test_library_imports_no_scipy(self):
+        # numpy is the only dependency: a fresh interpreter that imports the
+        # library, the CLI, the Fock engine and the verify suites loads no
+        # scipy module (the tests and the benchmark import it themselves)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys\n"
+                 "import gaussmeter, gaussmeter.cli, gaussmeter.fockoracle, gaussmeter.verify\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_posterior_case(self, capsys):
         assert main(["verify", "--case", "lemma1", "--seed", "7"]) == 0
         out = capsys.readouterr().out

@@ -1,8 +1,10 @@
+import gc
 import math
 import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -582,7 +584,7 @@ class TestChunking:
         support = np.count_nonzero(np.abs(rho).sum(axis=0))
         for entries in (1, 5 * support**2):
             monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", entries)
-            fockoracle._blocks.clear()
+            fockoracle._kept_blocks.cache_clear()
             assert er_numeric(rho, noise, grid, mass_tol=math.inf) == default
         monkeypatch.undo()
 
@@ -670,7 +672,7 @@ class TestWorkerThreads:
                             lambda a: chunks.append(a.shape[0]) or eigvalsh(a))
         monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", -(-202 // threads) * 40**2)
         monkeypatch.setenv("GAUSSMETER_THREADS", str(threads))
-        fockoracle._blocks.clear()
+        fockoracle._kept_blocks.cache_clear()
         assert er_numeric(rho, 1.0, grid) == unset
         assert len(chunks) == threads and sum(chunks) == 202
 
@@ -684,7 +686,7 @@ class TestDistinctRadii:
     def evaluated(monkeypatch, rho, noise, grid, **options):
         """``er_numeric`` with no kept blocks, how many posterior spectra it
         took and at how many radii it built blocks."""
-        fockoracle._blocks.clear()
+        fockoracle._kept_blocks.cache_clear()
         spectra = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -784,8 +786,9 @@ class TestDistinctRadii:
 
 class TestKeptBlocks:
     """Each mode's blocks are kept across calls on the key ``(dim, noise,
-    radii, levels)``, within ``CHUNK_ENTRIES`` complex entries' bytes; a kept
-    block gives the bits of a built one."""
+    radii, levels)``, at most ``KEPT_STACKS`` stacks of at most
+    ``CHUNK_ENTRIES / KEPT_STACKS`` complex entries' bytes each; a kept block
+    gives the bits of a built one."""
 
     def test_warm_call_builds_nothing(self, monkeypatch, rng):
         # a thermal state, a rank-12 state and a rank-12 product, whose modes
@@ -798,19 +801,30 @@ class TestKeptBlocks:
                  (product, (0.1, 0.3), monte_carlo_grid(np.diag([1.3, 1.6]), 48, seed=5))]
         built = spy_builds(monkeypatch)
         for rho, noise, grid in cases:
-            fockoracle._blocks.clear()
+            fockoracle._kept_blocks.cache_clear()
             cold = er_numeric(rho, noise, grid, mass_tol=math.inf)
             assert sum(built) > 0
             built.clear()
             assert er_numeric(rho, noise, grid, mass_tol=math.inf) == cold
             assert built == []
 
-    def test_kept_stacks_are_read_only(self):
-        er_numeric(thermal_state(1.0, 40), 1.0, default_grid(1.0, 1.0))
-        stacks = list(fockoracle._blocks.values())
-        assert len(stacks) == 1 and not stacks[0].flags.writeable
+    def test_kept_stacks_are_read_only(self, monkeypatch):
+        # a cold call and two warm ones get the same read-only stack, and the
+        # displacement basis it is built from refuses writes too
+        returned = []
+        blocks = fockoracle._mode_blocks
+        monkeypatch.setattr(fockoracle, "_mode_blocks",
+                            lambda *key: returned.append(blocks(*key)) or returned[-1])
+        for _ in range(3):
+            er_numeric(thermal_state(1.0, 40), 1.0, default_grid(1.0, 1.0))
+        cold, *warm = returned
+        assert len(warm) == 2 and all(stack is cold for stack in warm)
+        assert not cold.flags.writeable
         with pytest.raises(ValueError):
-            stacks[0][0, 0] = 0.0
+            cold[0, 0] = 0.0
+        for array in fockoracle._displacement_basis(40):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_levels_are_part_of_the_key(self, rng):
         # two states on one grid, noise and truncation, on levels 0-11 and on
@@ -823,58 +837,81 @@ class TestKeptBlocks:
         states = (random_low_energy_state(rng, 12, dim), sparse)
         cold = []
         for rho in states:
-            fockoracle._blocks.clear()
+            fockoracle._kept_blocks.cache_clear()
             cold.append(er_numeric(rho, noise, grid, mass_tol=math.inf))
-        fockoracle._blocks.clear()
+        fockoracle._kept_blocks.cache_clear()
         for rho, alone in zip(states, cold):
             value, estimate = er_numeric(rho, noise, grid, mass_tol=math.inf)
             assert (value, estimate) == alone
             assert value == pytest.approx(pointwise_value(rho, noise, grid), abs=1e-12)
-        assert len(fockoracle._blocks) == 2
+        assert fockoracle._kept_blocks.cache_info().currsize == 2
 
-    def test_budget_bounds_the_kept_stacks(self, monkeypatch, rng):
-        # 2 full-width outcomes of entries: 51200 bytes.  The 12-level
-        # states' blocks (17 radii, 19584 bytes) are kept, at most two at a
-        # time, the least recently used out first; the thermal state's
-        # (217600 bytes) serve their own call only, and evict nothing
+    def test_least_recently_used_stack_leaves(self, monkeypatch, rng):
+        # nine 12-level states on the levels k..k+11, 17 radii each (19584
+        # bytes a stack): the ninth pushes the first out, so the first builds
+        # again, and the ninth stays
         grid = default_grid(1.0, 1.0)
-        rho = thermal_state(1.0, 40)
-        full = er_numeric(rho, 1.0, grid)
-        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", 2 * 40 * 40)
-        fockoracle._blocks.clear()
-        built = spy_builds(monkeypatch)
+        assert fockoracle.KEPT_STACKS == 8
         shifted = [np.diag(np.pad(rng.dirichlet(np.ones(12)), (k, 28 - k)))
-                   for k in range(3)]
-        er_numeric(shifted[0], 1.0, grid, mass_tol=math.inf)
-        assert er_numeric(rho, 1.0, grid) == full
-        assert er_numeric(rho, 1.0, grid) == full
-        assert built == [17, 17, 17] and len(fockoracle._blocks) == 1
-        for state in shifted[1:]:
+                   for k in range(9)]
+        built = spy_builds(monkeypatch)
+        for state in shifted:
             er_numeric(state, 1.0, grid, mass_tol=math.inf)
-        assert built == [17] * 5 and len(fockoracle._blocks) == 2
-        assert sum(stack.nbytes for stack in fockoracle._blocks.values()) == 2 * 17 * 144 * 8
-        er_numeric(shifted[2], 1.0, grid, mass_tol=math.inf)
-        assert built == [17] * 5
-        er_numeric(shifted[0], 1.0, grid, mass_tol=math.inf)
-        assert built == [17] * 6
+        assert built == [17] * 9
+        first = er_numeric(shifted[0], 1.0, grid, mass_tol=math.inf)
+        assert built == [17] * 10
+        er_numeric(shifted[8], 1.0, grid, mass_tol=math.inf)
+        assert built == [17] * 10
+        assert er_numeric(shifted[0], 1.0, grid, mass_tol=math.inf) == first
+        assert fockoracle._kept_blocks.cache_info().currsize == 8
 
-    def test_threads_share_the_kept_blocks(self, monkeypatch, rng):
-        # more threads than cores, a short switch interval and room for two
-        # of the four states' blocks, so threads build, keep and evict at
-        # once: every result is its serial one's bits, and the kept stacks
-        # stay within the budget
+    def test_large_stacks_serve_their_call_only(self, monkeypatch):
+        # thermal at dim 40: 202 radii on the lattice (2585600 bytes), above
+        # the cap of 819200, so every call builds them and none is kept;
+        # 17 radii on the default grid (217600 bytes) are kept
+        cap = fockoracle.CHUNK_ENTRIES // fockoracle.KEPT_STACKS * 16
+        assert 17 * 40**2 * 8 <= cap == 819200 < 202 * 40**2 * 8
+        rho = thermal_state(1.0, 40)
+        lattice = cartesian_grid(6.0, 15 / 64)
+        built = spy_builds(monkeypatch)
+        assert er_numeric(rho, 1.0, lattice) == er_numeric(rho, 1.0, lattice)
+        assert built == [202, 202]
+        assert fockoracle._kept_blocks.cache_info().currsize == 0
+        hermite = default_grid(1.0, 1.0)
+        assert er_numeric(rho, 1.0, hermite) == er_numeric(rho, 1.0, hermite)
+        assert built == [202, 202, 17]
+        assert fockoracle._kept_blocks.cache_info().currsize == 1
+
+    def test_kept_stacks_hold_at_most_chunk_entries(self):
+        # 64 radii at 40 levels fill the cap exactly (819200 bytes) and are
+        # kept; 65 are not.  Of ten such stacks and a larger one, those still
+        # alive once every call has dropped its own are the kept ones: the
+        # last eight, CHUNK_ENTRIES complex entries' bytes in all
+        used = np.arange(40)
+        keys = [0.05 * np.arange(k, k + 64) for k in range(10)] + [0.05 * np.arange(65)]
+        refs = [weakref.ref(fockoracle._mode_blocks(40, 1.0, radii, used)) for radii in keys]
+        gc.collect()
+        alive = [ref() for ref in refs]
+        assert [stack is not None for stack in alive] == [False] * 2 + [True] * 8 + [False]
+        held = sum(stack.nbytes for stack in alive if stack is not None)
+        assert held == fockoracle.CHUNK_ENTRIES * np.dtype(complex).itemsize
+
+    def test_threads_share_the_kept_blocks(self, rng):
+        # more threads than cores, a short switch interval and ten states'
+        # blocks for eight kept stacks, so threads build, keep and evict at
+        # once: every result is its serial one's bits, and no more than
+        # KEPT_STACKS stacks stay
         grid = default_grid(1.0, 1.0)
         states = [np.diag(np.pad(rng.dirichlet(np.ones(12)), (k, 28 - k)))
-                  for k in range(4)]
+                  for k in range(10)]
         serial = [er_numeric(rho, 1.0, grid, mass_tol=math.inf) for rho in states]
-        monkeypatch.setattr(fockoracle, "CHUNK_ENTRIES", 2 * 40 * 40)
-        fockoracle._blocks.clear()
+        fockoracle._kept_blocks.cache_clear()
         results, errors = [], []
 
         def work(offset):
             try:
-                for i in range(12):
-                    k = (i + offset) % 4
+                for i in range(20):
+                    k = (i + 3 * offset) % 10
                     results.append((k, er_numeric(states[k], 1.0, grid, mass_tol=math.inf)))
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
@@ -890,9 +927,8 @@ class TestKeptBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and errors == []
-        assert len(results) == 48 and all(value == serial[k] for k, value in results)
-        held = sum(stack.nbytes for stack in fockoracle._blocks.values())
-        assert 0 < held <= 2 * 40 * 40 * 16
+        assert len(results) == 80 and all(value == serial[k] for k, value in results)
+        assert 0 < fockoracle._kept_blocks.cache_info().currsize <= fockoracle.KEPT_STACKS
 
     def test_no_outcome_inside_builds_nothing(self, monkeypatch):
         # every outcome beyond the validity radius: the typed mass error, for

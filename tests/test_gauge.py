@@ -82,6 +82,29 @@ class TestPosteriorParams:
                 noise * lam / (noise + lam + 1.0), abs=1e-12
             )
 
+    @pytest.mark.parametrize("occupation", [1.0, 1e2, 1e4])
+    def test_rotated_singular_noise_matches_rotated_posterior(self, occupation):
+        # N = U diag(0, n) U^dag: eigh returns its zero occupation as roundoff,
+        # which grow = sqrt(N(N+I)) magnified to 4e-9 .. 4e-7 relative error.
+        # The exact posterior is U posterior(U^dag Lambda U, diag(0, n)) U^dag
+        rng = np.random.default_rng(0)
+        lam = np.array([[0.7, 0.1], [0.1, 0.4]], dtype=complex)
+        diagonal = np.diag([0.0, occupation]).astype(complex)
+        units = np.stack([np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                          for _ in range(50)])
+        adj = units.conj().swapaxes(-1, -2)
+        rotated = posterior_params(GaugeState(adj @ lam @ units), GaugeMeasurement(diagonal))
+        alone = [posterior_params(GaugeState(lam), GaugeMeasurement(u @ diagonal @ v))
+                 for u, v in zip(units, adj)]
+        stacked = posterior_params(GaugeState(lam), GaugeMeasurement(units @ diagonal @ adj))
+        for name in ("gain", "correlation"):
+            exact = units @ getattr(rotated, name) @ adj
+            scale = np.abs(exact).max(axis=(-2, -1))
+            for got in (np.stack([getattr(post, name) for post in alone]),
+                        getattr(stacked, name)):
+                error = np.abs(got - exact).max(axis=(-2, -1))
+                assert (error <= 1e-11 * scale).all(), (name, (error / scale).max())
+
     def test_hermiticity_for_non_commuting_inputs(self, rng):
         for s in (2, 3, 4):
             for _ in range(10):
