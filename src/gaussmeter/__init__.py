@@ -27,7 +27,6 @@ from .gauge import (
 )
 from .matfun import (
     LogBase,
-    SymplecticForm,
     g_scalar,
     g_trace,
     psd_sqrt,
@@ -57,7 +56,6 @@ __all__ = [
     "LogBase",
     "RealCovariance",
     "SweepPoint",
-    "SymplecticForm",
     "c_unassisted_one_mode",
     "cea_multimode",
     "cea_one_mode",

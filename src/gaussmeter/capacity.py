@@ -173,9 +173,13 @@ def excess_limit(noise: float, base: LogBase = LogBase.BITS) -> float:
     ``N = 16`` on, ``1 - N log1p(1/N)`` is the series
     ``sum_k (-1)^k x^(k+1) / (k+2)`` in ``x = 1/N``, summed to 15 terms by
     Horner, since the difference cancels there (it read 0 from ``N = 1e16``).
+    Below :data:`~gaussmeter.matfun.SMALLEST_NORMAL`, where ``1/N`` overflows,
+    ``log(1 + 1/N)`` is taken as ``log1p(N) - log(N)``.
     """
     if not 0.0 < noise < math.inf:
         raise InvalidRange(f"noise must be positive and finite, got {noise}")
+    if noise < SMALLEST_NORMAL:
+        return (1.0 - noise * (math.log1p(noise) - math.log(noise))) / base.ln_base
     if noise < 16.0:
         return (1.0 - noise * math.log1p(1.0 / noise)) / base.ln_base
     x = 1.0 / noise

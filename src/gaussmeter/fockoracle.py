@@ -165,10 +165,6 @@ def _thermal_diagonal(mean_number: float, dim: int) -> np.ndarray:
         raise ValueError(
             f"mean occupation must be finite and nonnegative, got {mean_number}"
         )
-    if mean_number == 0.0:
-        probs = np.zeros(dim)
-        probs[0] = 1.0
-        return probs
     ratio = mean_number / (mean_number + 1.0)
     tail = ratio**dim
     if tail > TAIL_TOL:
@@ -270,11 +266,12 @@ def displacement(z, dim: int) -> np.ndarray:
             )
     theta, v = _displacement_basis(dim)
     n = np.arange(dim)
-    out = np.ones((1, 1), dtype=complex)
+    blocks = []
     for amp in amps:
         d_r = ((v * np.exp(-1j * abs(amp) * theta)) @ v.conj().T).real
         phase = np.exp(1j * np.angle(amp) * n)
-        out = np.kron(out, phase[:, None] * d_r * phase.conj())
+        blocks.append(phase[:, None] * d_r * phase.conj())
+    out = reduce(np.kron, blocks)
     if not unitarity_defect(out) <= 1e-6:
         raise TruncationTooSmall("displacement failed the unitarity check")
     return out

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -257,36 +256,22 @@ def psd_sqrt(matrix) -> np.ndarray:
     return hermitian_function(matrix, np.sqrt)
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Canonical antisymmetric form on ``s`` modes.
-
-    Coordinates are interleaved ``(x_1, p_1, ..., x_s, p_s)``; the matrix is
-    block diagonal with ``[[0, 1], [-1, 0]]`` blocks, so it is antisymmetric
-    and squares to minus the identity.
-    """
-
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise NoModes(f"mode count must be positive, got {self.s}")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        delta = np.kron(np.eye(self.s), block)
-        delta.setflags(write=False)
-        return delta
-
-
 @lru_cache(maxsize=None)
-def symplectic_form(s: int) -> SymplecticForm:
-    """The shared form on ``s`` modes, so its matrices are built once."""
-    return SymplecticForm(s)
+def symplectic_form(s: int) -> np.ndarray:
+    """The canonical form ``Delta`` on ``s >= 1`` modes (else ``NoModes``),
+    one shared read-only array per ``s``: block diagonal with
+    ``[[0, 1], [-1, 0]]`` blocks over interleaved ``(x_1, p_1, ..., x_s, p_s)``,
+    so antisymmetric and squaring to minus the identity.  The covariance
+    functions below take ``s`` from their input's size ``2s``.
+    """
+    if s < 1:
+        raise NoModes(f"mode count must be positive, got {s}")
+    delta = np.kron(np.eye(s), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    delta.setflags(write=False)
+    return delta
 
 
-def symplectic_spectrum(alpha, form: SymplecticForm) -> np.ndarray:
+def symplectic_spectrum(alpha) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive definite matrix.
 
     The eigenvalues of ``Delta^-1 alpha`` come in pairs ``+/- i nu_j``; the
@@ -296,41 +281,40 @@ def symplectic_spectrum(alpha, form: SymplecticForm) -> np.ndarray:
 
     Raises:
         NotSymmetric: if ``alpha`` is not symmetric.
-        DimensionMismatch: if ``alpha`` is not ``2s x 2s`` for the form's ``s``.
+        DimensionMismatch: if ``alpha`` has an odd size.
+        NoModes: if ``alpha`` is ``0 x 0``.
         NotPositiveDefinite: if ``alpha`` is not positive definite.
         InvalidRange: if an eigenvalue of ``alpha`` exceeds
             :data:`OCCUPATION_LIMIT`, where the Williamson core overflows.
         PairingFailure: if the doubled spectrum does not pair within
             tolerance (indicates a badly conditioned input).
     """
-    return _symplectic_spectrum(_as_covariance(alpha, form), form)
+    return _symplectic_spectrum(_as_covariance(alpha))
 
 
-def _as_covariance(alpha, form: SymplecticForm) -> np.ndarray:
-    """``alpha`` checked symmetric and ``2s x 2s`` for the form, symmetrized."""
+def _as_covariance(alpha) -> np.ndarray:
+    """``alpha`` checked symmetric and of even size ``2s``, symmetrized."""
     a = as_symmetric(alpha)
-    if a.shape[-1] != 2 * form.s:
-        raise DimensionMismatch(
-            f"covariance is {a.shape[-1]}x{a.shape[-1]}, form expects {2 * form.s}"
-        )
+    if a.shape[-1] % 2 != 0:
+        raise DimensionMismatch(f"covariance must be 2s x 2s, got {a.shape}")
     return a
 
 
-def _williamson_core(
-    a: np.ndarray, form: SymplecticForm
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _williamson_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(sqrt(a), C, max w)`` of validated symmetric ``2s x 2s`` matrices
     (shape ``(..., 2s, 2s)``) with eigenvalues ``w``, where
     ``C = sqrt(a) Delta^T a Delta sqrt(a)`` is PSD and similar to
     ``-(Delta^-1 a)^2``, so its eigenvalues are the ``nu_j^2``, each twice.
 
     Raises:
+        NoModes: if ``s = 0``.
         NotPositiveDefinite: unless ``min w > EIGH_RTOL * 2s * max w``, the
             backward error of the ``eigh`` that gives ``w``.  Any larger
             condition number is accepted, so a strongly squeezed vacuum such
             as ``diag(6e5, 1/2.4e6)`` is.
         InvalidRange: if ``max w`` exceeds :data:`OCCUPATION_LIMIT`.
     """
+    delta = symplectic_form(a.shape[-1] // 2)
     w, u = np.linalg.eigh(a)
     low, high = _entry(w, 0), _entry(w, -1)
     bad = low <= EIGH_RTOL * a.shape[-1] * high
@@ -338,13 +322,12 @@ def _williamson_core(
         raise NotPositiveDefinite(f"minimum eigenvalue {_first(low, bad):.3e}")
     _check_scale(high)
     root = (u * np.sqrt(w)[..., None, :]) @ u.swapaxes(-1, -2)
-    delta = form.matrix
     return root, root @ (delta.T @ a @ delta) @ root, high
 
 
-def _symplectic_spectrum(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
+def _symplectic_spectrum(a: np.ndarray) -> np.ndarray:
     """:func:`symplectic_spectrum` of validated symmetric ``2s x 2s`` matrices."""
-    squared = np.linalg.eigvalsh(_williamson_core(a, form)[1])
+    squared = np.linalg.eigvalsh(_williamson_core(a)[1])
     nus = np.sqrt(np.maximum(squared, 0.0))
     nus.sort()
     lo, hi = nus[..., 0::2], nus[..., 1::2]

@@ -26,7 +26,6 @@ from .errors import DimensionMismatch, InvalidCovariance, SingularSum
 from .gauge import GaugeMeasurement, GaugeState
 from .matfun import (
     LogBase,
-    SymplecticForm,
     _any,
     _as_covariance,
     _as_float,
@@ -57,9 +56,7 @@ GROW_CLIP_RTOL = 16.0 * float(np.finfo(float).eps)
 GROW_CLIP_MIN = 1e-10
 
 
-def validate_covariance(
-    alpha, form: SymplecticForm
-) -> tuple[bool | np.ndarray, float | np.ndarray]:
+def validate_covariance(alpha) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Admissibility of a symmetric matrix as a quantum covariance matrix.
 
     Returns ``(ok, margin)`` where the margin is the smallest eigenvalue of
@@ -68,20 +65,23 @@ def validate_covariance(
     are at least 1/2).  For a stack both are arrays over its leading axes.
 
     Raises:
+        NotSymmetric: if ``alpha`` is not symmetric.
+        DimensionMismatch: if ``alpha`` has an odd size.
+        NoModes: if ``alpha`` is ``0 x 0``.
         InvalidRange: if an eigenvalue of ``alpha + (i/2) Delta`` exceeds
             ``matfun.OCCUPATION_LIMIT``, as :class:`RealCovariance` does.
     """
-    w = _admissibility_spectrum(_as_covariance(alpha, form), form)
+    w = _admissibility_spectrum(_as_covariance(alpha))
     _check_scale(_entry(w, -1))
     margin = _as_float(_entry(w, 0))
     return margin >= -ADMISSIBILITY_TOL, margin
 
 
-def _admissibility_spectrum(a: np.ndarray, form: SymplecticForm) -> np.ndarray:
+def _admissibility_spectrum(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``alpha + (i/2) Delta`` for validated
     symmetric ``2s x 2s`` matrices, one row per member of a stack; the first
     is the margin of :func:`validate_covariance`."""
-    return np.linalg.eigvalsh(a + 0.5j * form.matrix)
+    return np.linalg.eigvalsh(a + 0.5j * symplectic_form(a.shape[-1] // 2))
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,9 @@ class RealCovariance:
     Validated once, on construction; ``spectrum`` is taken once, on first use.
 
     Raises:
-        InvalidCovariance: if the admissibility margin is below -1e-9.
+        InvalidCovariance: if ``cov`` has an odd size or its admissibility
+            margin is below -1e-9.
+        NoModes: if ``cov`` is ``0 x 0``.
         InvalidRange: if the largest eigenvalue of ``cov + (i/2) Delta``
             exceeds ``matfun.OCCUPATION_LIMIT``, the square root of the
             largest float, where the Williamson core overflows.
@@ -103,7 +105,7 @@ class RealCovariance:
         a = as_symmetric(self.cov)
         if a.shape[-1] % 2 != 0:
             raise InvalidCovariance(f"covariance must be 2s x 2s, got {a.shape}")
-        w = _admissibility_spectrum(a, symplectic_form(a.shape[-1] // 2))
+        w = _admissibility_spectrum(a)
         margin = _entry(w, 0)
         bad = margin < -ADMISSIBILITY_TOL
         if _any(bad):
@@ -115,17 +117,13 @@ class RealCovariance:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Symplectic eigenvalues, in decreasing order (read-only)."""
-        nus = _symplectic_spectrum(self.cov, self.form)
+        nus = _symplectic_spectrum(self.cov)
         nus.setflags(write=False)
         return nus
 
     @property
     def s(self) -> int:
         return self.cov.shape[-1] // 2
-
-    @property
-    def form(self) -> SymplecticForm:
-        return symplectic_form(self.s)
 
 
 @dataclass(frozen=True)
@@ -163,11 +161,15 @@ def _grow_factor(beta: RealCovariance) -> np.ndarray:
     since an admissible ``beta`` has ``min w max w >= 1/4``, and equals it
     for pure noise.  ``max w`` comes from the ``eigh`` that builds ``C``.
     """
-    root, core, w_max = _williamson_core(beta.cov, beta.form)
+    root, core, w_max = _williamson_core(beta.cov)
     squared, q = np.linalg.eigh(core)
     half = root @ q
     clip = np.maximum(GROW_CLIP_MIN, GROW_CLIP_RTOL * core.shape[-1] * 4.0 * w_max ** 2)
-    factor = np.sqrt(_clipped_spectrum(1.0 - 0.25 / squared, clip))
+    # a core eigenvalue that rounds to 0 (large singular noise) gives -inf,
+    # not a warning; the clip's tolerance is then -inf too, so it is set to 0
+    with np.errstate(divide="ignore"):
+        shrink = 1.0 - 0.25 / squared
+    factor = np.sqrt(_clipped_spectrum(shrink, clip))
     return (half * factor[..., None, :]) @ half.swapaxes(-1, -2)
 
 

@@ -34,7 +34,7 @@ def random_symplectic(rng, s, scale=0.4):
     """exp(Delta H) with symmetric H is symplectic for the interleaved form."""
     h = rng.normal(size=(2 * s, 2 * s)) * scale
     h = (h + h.T) / 2.0
-    return expm(symplectic_form(s).matrix @ h)
+    return expm(symplectic_form(s) @ h)
 
 
 def random_admissible_cov(rng, s, scale=0.4):

@@ -192,6 +192,12 @@ class TestExcessLimit:
         direct = cea_one_mode(energy, noise) - c_unassisted_one_mode(energy, noise)
         assert abs(direct - excess_limit(noise)) <= 1e-3
 
+    @pytest.mark.parametrize("noise", [5e-309, 1e-310, 5e-324])
+    def test_subnormal_noise(self, noise):
+        # 1/N overflows below the smallest normal float (it read -inf there);
+        # the value is log2(e) to the last bit, as at N = 1e-300
+        assert excess_limit(noise) == excess_limit(1e-300)
+
     def test_invalid(self):
         for noise in (0.0, math.inf):
             with pytest.raises(InvalidRange):

@@ -14,6 +14,7 @@ from conftest import (
 from gaussmeter import matfun, symplectic
 from gaussmeter.errors import (
     DimensionMismatch,
+    GaussmeterError,
     InvalidCovariance,
     InvalidRange,
     NoModes,
@@ -45,23 +46,23 @@ G_HALF_BITS = 1.3774437510817343  # g(1/2), frozen from scalar evaluation
 
 class TestValidateCovariance:
     def test_vacuum_saturates(self):
-        ok, margin = validate_covariance(0.5 * np.eye(2), symplectic_form(1))
+        ok, margin = validate_covariance(0.5 * np.eye(2))
         assert ok
         assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_below_vacuum_fails(self):
-        ok, margin = validate_covariance(0.25 * np.eye(2), symplectic_form(1))
+        ok, margin = validate_covariance(0.25 * np.eye(2))
         assert not ok
         assert margin < -1e-3
 
     def test_squeezed_boundary(self):
-        ok, margin = validate_covariance(np.diag([2.0, 0.125]), symplectic_form(1))
+        ok, margin = validate_covariance(np.diag([2.0, 0.125]))
         assert ok
         assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            validate_covariance(np.array([[1.0, 0.3], [0.0, 1.0]]), symplectic_form(1))
+            validate_covariance(np.array([[1.0, 0.3], [0.0, 1.0]]))
 
 
 class TestGaussianEntropy:
@@ -105,7 +106,7 @@ class TestPosteriorCovariance:
             alpha = RealCovariance(random_admissible_cov(rng, s))
             beta = RealCovariance(random_admissible_cov(rng, s))
             out = posterior_covariance(alpha, beta)
-            ok, margin = validate_covariance(out.cov, out.form)
+            ok, margin = validate_covariance(out.cov)
             assert ok, f"margin {margin}"
 
     @pytest.mark.parametrize("s", [2, 3])
@@ -136,12 +137,12 @@ class TestPosteriorCovariance:
         # the formula as written: F = sqrt(I + (2 beta Delta^-1)^-2) and
         # beta - F beta (alpha+beta)^-1 beta F^T, on noise that does not
         # commute with Delta (no standard complex structure)
-        form = symplectic_form(s)
+        delta = symplectic_form(s)
         for _ in range(20):
             alpha = random_admissible_cov(rng, s)
             beta = random_admissible_cov(rng, s)
-            assert np.abs(beta @ form.matrix - form.matrix @ beta).max() > 1e-3
-            squared = 4.0 * np.linalg.matrix_power(beta @ form.matrix.T, 2)
+            assert np.abs(beta @ delta - delta @ beta).max() > 1e-3
+            squared = 4.0 * np.linalg.matrix_power(beta @ delta.T, 2)
             factor = sqrtm(np.eye(2 * s) + np.linalg.inv(squared))
             assert np.abs(factor.imag).max() < 1e-10
             factor = factor.real
@@ -257,6 +258,30 @@ class TestEntropyReductionGeneral:
             )
             assert moved == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("closed_form", [
+        entropy_reduction_gauge,
+        lambda state, meas: entropy_reduction_general(*embed_gauge_invariant(state, meas)),
+    ], ids=["gauge", "real"])
+    @pytest.mark.parametrize("n", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+    def test_rotated_singular_noise_raises_or_is_accurate(self, closed_form, n):
+        # N = U diag(0, n) U^dag: the entropy reduction is invariant under a
+        # common rotation, so the gauge form at Lambda' = U^dag Lambda U and
+        # diag(0, n) is the reference.  At large n N's zero eigenvalue is lost
+        # to roundoff; a closed form may then raise a typed error, but must
+        # neither warn (the real form divided by zero from n = 1e8) nor drift
+        lam = np.diag([0.3, 0.7])
+        diagonal = GaugeMeasurement(np.diag([0.0, n]))
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            u = random_unitary(rng, 2)
+            ref = entropy_reduction_gauge(GaugeState(u.conj().T @ lam @ u), diagonal)
+            try:
+                value = closed_form(GaugeState(lam),
+                                    GaugeMeasurement(u @ diagonal.noise @ u.conj().T))
+            except GaussmeterError:
+                continue
+            assert abs(value - ref) <= 1e-6
+
     def test_squeezed_input_matches_fock_engine(self):
         # squeezed thermal state with covariance diag(2, 1/2) measured with
         # isotropic noise beta = 1.5 I (the N = 1 phase-insensitive POVM)
@@ -317,11 +342,7 @@ class TestEmbedding:
         nus = np.sort(
             np.linalg.eigvalsh(lam).real + 0.5
         )[::-1]
-        from gaussmeter.matfun import symplectic_spectrum
-
-        np.testing.assert_allclose(
-            symplectic_spectrum(embedded, symplectic_form(3)), nus, atol=1e-10
-        )
+        np.testing.assert_allclose(symplectic_spectrum(embedded), nus, atol=1e-10)
 
     @pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 2), ()])
     def test_embedding_rejects_non_square(self, shape):
@@ -347,6 +368,19 @@ def test_real_covariance_rejects_inadmissible():
 def test_real_covariance_rejects_zero_modes():
     with pytest.raises(NoModes):
         RealCovariance(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("validator", [validate_covariance, symplectic_spectrum])
+def test_validators_take_the_form_from_the_size(validator):
+    # the form on s modes is read from a 2s x 2s input: an odd size has none,
+    # and 0 x 0 has no modes, alone or as a stack, as for RealCovariance
+    with pytest.raises(DimensionMismatch):
+        validator(np.eye(3))
+    with pytest.raises(InvalidCovariance):
+        RealCovariance(np.eye(3))
+    for empty in (np.zeros((0, 0)), np.zeros((2, 0, 0))):
+        with pytest.raises(NoModes):
+            validator(empty)
 
 
 def test_real_covariance_rejects_complex_entries():
@@ -379,22 +413,20 @@ class TestHugeCovariance:
     def test_validate_covariance_raises(self, scale, s):
         # it returned (True, 1e+155) at s = 1
         limit = r"above sqrt\(max float\) = 1\.341e\+154"
-        form = symplectic_form(s)
         with pytest.raises(InvalidRange, match=limit):
-            validate_covariance(scale * np.eye(2 * s), form)
+            validate_covariance(scale * np.eye(2 * s))
         with pytest.raises(InvalidRange, match=limit):
-            validate_covariance(np.stack([np.eye(2 * s), scale * np.eye(2 * s)]), form)
+            validate_covariance(np.stack([np.eye(2 * s), scale * np.eye(2 * s)]))
 
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     @pytest.mark.parametrize("s", [1, 3])
     def test_symplectic_spectrum_raises(self, scale, s):
         # it returned [nan] after an overflow warning at s = 1
         limit = r"above sqrt\(max float\) = 1\.341e\+154"
-        form = symplectic_form(s)
         with pytest.raises(InvalidRange, match=limit):
-            symplectic_spectrum(scale * np.eye(2 * s), form)
+            symplectic_spectrum(scale * np.eye(2 * s))
         with pytest.raises(InvalidRange, match=limit):
-            symplectic_spectrum(np.stack([np.eye(2 * s), scale * np.eye(2 * s)]), form)
+            symplectic_spectrum(np.stack([np.eye(2 * s), scale * np.eye(2 * s)]))
 
     @pytest.mark.parametrize("s", [1, 3])
     def test_just_below_the_limit_evaluates(self, s):
@@ -441,7 +473,7 @@ class TestValidatedOnce:
 
     def test_spectrum_matches_public_function_and_is_read_only(self, rng):
         alpha = RealCovariance(random_admissible_cov(rng, 3))
-        expected = symplectic_spectrum(alpha.cov, alpha.form)
+        expected = symplectic_spectrum(alpha.cov)
         assert alpha.spectrum.tolist() == expected.tolist()
         with pytest.raises(ValueError):
             alpha.spectrum[0] = 1.0
@@ -467,12 +499,11 @@ class TestStacks:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_general_stack_matches_per_matrix(self, rng, s):
-        form = symplectic_form(s)
         alphas = np.stack([random_admissible_cov(rng, s) for _ in range(5)])
         betas = np.stack([random_admissible_cov(rng, s) for _ in range(4)]
                          + [0.5 * np.eye(2 * s)])
-        ok, margin = validate_covariance(alphas, form)
-        each = [validate_covariance(a, form) for a in alphas]
+        ok, margin = validate_covariance(alphas)
+        each = [validate_covariance(a) for a in alphas]
         assert np.array_equal(ok, [e[0] for e in each])
         assert np.array_equal(margin, [e[1] for e in each])
         alpha, beta = RealCovariance(alphas), RealCovariance(betas)
@@ -492,7 +523,7 @@ class TestStacks:
 
     def test_two_d_results_keep_their_types(self, rng):
         alpha = RealCovariance(random_admissible_cov(rng, 2))
-        ok, margin = validate_covariance(alpha.cov, alpha.form)
+        ok, margin = validate_covariance(alpha.cov)
         assert type(ok) is bool and type(margin) is float
         assert type(gaussian_entropy(alpha)) is float
         general = GeneralMeasurement(RealCovariance(random_admissible_cov(rng, 2)))
